@@ -53,11 +53,9 @@ class JsonWriter
 
     /**
      * Splice @p json — an already-serialized JSON value — verbatim into
-     * the document.  This is how the serve layer embeds cached
-     * canonical RunResult documents into replies without a parse →
-     * re-serialize round trip (which would not be byte-identical: the
-     * parser stores numbers as doubles).  The caller guarantees
-     * @p json is one complete, valid JSON value.
+     * the document, e.g. a number the caller formatted itself (the
+     * benchmark's metric values).  The caller guarantees @p json is
+     * one complete, valid JSON value.
      */
     JsonWriter &rawValue(std::string_view json);
 

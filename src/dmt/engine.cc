@@ -1,7 +1,6 @@
 #include "dmt/engine.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 
 #include "common/env.hh"
@@ -291,11 +290,6 @@ DmtEngine::run()
 {
     u64 last_retired = 0;
     Cycle last_progress = 0;
-    // Wall-clock deadline rides the watchdog loop: checked every 4096
-    // cycles (one clock read per few ms of host time) so a run that is
-    // retiring — and therefore never trips the watchdog — still cannot
-    // exceed its caller's time budget.
-    const bool deadline_armed = cfg.hasDeadline();
     while (!done_) {
         step();
         if (retired_total != last_retired) {
@@ -304,14 +298,6 @@ DmtEngine::run()
         } else if (cfg.watchdog_cycles > 0
                    && now_ - last_progress > cfg.watchdog_cycles) {
             watchdogExpired();
-        }
-        if (deadline_armed && (now_ & 0xFFF) == 0
-            && std::chrono::steady_clock::now() >= cfg.deadline) {
-            panic("deadline expired at cycle %llu (retired %llu of "
-                  "budget %llu)",
-                  static_cast<unsigned long long>(now_),
-                  static_cast<unsigned long long>(retired_total),
-                  static_cast<unsigned long long>(cfg.max_retired));
         }
     }
 

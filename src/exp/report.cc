@@ -6,7 +6,6 @@
 #include "common/log.hh"
 #include "common/strutil.hh"
 #include "exp/runner.hh"
-#include "uarch/config.hh"
 
 namespace dmt
 {
@@ -24,20 +23,6 @@ u64
 canonicalHash(const RunResult &r)
 {
     return fnv1aHash(r.jsonString());
-}
-
-u64
-canonicalHash(const SimConfig &cfg)
-{
-    JsonWriter w;
-    cfg.jsonOn(w);
-    return fnv1aHash(w.str());
-}
-
-std::string
-hashHex(u64 h)
-{
-    return strprintf("%016llx", static_cast<unsigned long long>(h));
 }
 
 Report::Report(std::string title_, std::string paper_note_)

@@ -19,17 +19,15 @@ namespace dmt
 
 class JsonWriter;
 struct RunResult;
-struct SimConfig;
 
 // ---- canonical hashing -------------------------------------------------
 //
-// Golden tooling and the serve-layer result cache both need a compact,
-// stable identity for "this exact result" / "this exact machine".  The
-// contract: hash the *canonical JSON* form (jsonOn through JsonWriter),
-// which already excludes host-timing fields (wall_s, minstr_per_s,
-// func_wall_s), with FNV-1a — the same digest family checkpoints use
-// for program images.  Equal hashes ⇔ byte-identical canonical
-// documents (modulo 64-bit collisions, irrelevant at cache scale).
+// Golden tooling needs a compact, stable identity for "this exact
+// result".  The contract: hash the *canonical JSON* form (jsonOn
+// through JsonWriter), which already excludes host-timing fields
+// (wall_s, minstr_per_s, func_wall_s), with FNV-1a — the same digest
+// family checkpoints use for program images.  Equal hashes ⇔
+// byte-identical canonical documents (modulo 64-bit collisions).
 
 /** FNV-1a offset basis (matches ArchState::kOutHashInit). */
 constexpr u64 kFnvBasis = 0xcbf29ce484222325ull;
@@ -39,12 +37,6 @@ u64 fnv1aHash(std::string_view bytes, u64 seed = kFnvBasis);
 
 /** Canonical digest of a RunResult (over jsonString()). */
 u64 canonicalHash(const RunResult &r);
-
-/** Canonical digest of a SimConfig (over its jsonOn() document). */
-u64 canonicalHash(const SimConfig &cfg);
-
-/** Fixed-width lowercase hex rendering of a 64-bit digest. */
-std::string hashHex(u64 h);
 
 /** Simple fixed-width table. */
 class Report

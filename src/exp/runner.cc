@@ -115,15 +115,6 @@ benchRunLength()
     return v > 0 ? v : 60000;
 }
 
-u64
-effectiveBudget(bool sampled, u64 max_retired)
-{
-    if (max_retired > 0)
-        return max_retired;
-    return sampled ? parseEnvU64("DMT_BENCH_INSTR", 0)
-                   : benchRunLength();
-}
-
 RunResult
 runWorkload(const SimConfig &cfg, const std::string &workload,
             u64 max_retired)

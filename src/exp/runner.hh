@@ -151,24 +151,12 @@ struct SampleParams;
 
 /**
  * runWorkload() with the sampling decision passed explicitly instead
- * of read from DMT_SAMPLE.  This is the serve-layer entry point: a
- * daemon job's spec — not the daemon's environment — decides whether
- * a request samples, and runWorkload() itself delegates here, so
- * daemon answers are byte-identical to direct calls by construction.
+ * of read from DMT_SAMPLE, for callers that must not depend on the
+ * environment.  runWorkload() itself delegates here.
  */
 RunResult runWorkloadJob(const SimConfig &cfg,
                          const std::string &workload, u64 max_retired,
                          const SampleParams &sample);
-
-/**
- * The retirement budget a (max_retired, sample) request resolves to:
- * an explicit @p max_retired wins; otherwise detailed runs use
- * benchRunLength() and sampled runs use DMT_BENCH_INSTR (0 = whole
- * program), mirroring runWorkload()/runWorkloadSampled().  The serve
- * layer resolves budgets *before* computing cache keys so identical
- * effective requests share a cache cell.
- */
-u64 effectiveBudget(bool sampled, u64 max_retired);
 
 /** Percentage speedup of @p test over @p base for identical work. */
 double speedupPct(const RunResult &base, const RunResult &test);

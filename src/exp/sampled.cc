@@ -39,8 +39,8 @@ SampleParams::canonicalSpec() const
         return "off";
     if (phaseMode()) {
         // Every field explicit: two specs that behave identically must
-        // render identically (cache keys), regardless of which
-        // trailing fields the user spelled out.
+        // render identically, regardless of which trailing fields the
+        // user spelled out.
         return strprintf("phase:%llu:%llu:%llu:%llu:%llu:%llu",
                          static_cast<unsigned long long>(phase.interval),
                          static_cast<unsigned long long>(warm),
@@ -157,8 +157,8 @@ SampleParams::fromEnv()
         fatal("DMT_SAMPLE=\"%s\": %s", raw, err.c_str());
     if (p.phaseMode()) {
         // Env defaults apply only to fields the spec left out; the
-        // canonical spec is always fully explicit, so daemon cache
-        // keys and golden identities never depend on the environment.
+        // canonical spec is always fully explicit, so result names and
+        // golden identities never depend on the environment.
         const size_t nf = splitFields(raw, ":").size() - 1;
         if (nf < 4)
             p.phase.max_k =
@@ -248,8 +248,7 @@ ckptDir()
 std::shared_ptr<const Checkpoint>
 checkpointAt(WorkloadCkpts &e, const std::string &workload, u64 pos,
              double *ff_wall, TranslationStats *ff_stats,
-             u64 *halt_pos_out,
-             std::chrono::steady_clock::time_point deadline = {})
+             u64 *halt_pos_out)
 {
     std::lock_guard<std::mutex> lock(e.m);
     if (pos >= e.halt_pos) {
@@ -289,25 +288,10 @@ checkpointAt(WorkloadCkpts &e, const std::string &workload, u64 pos,
             core.reset();
         }
     }
-    // With a deadline armed, fast-forward in bounded chunks (a few
-    // tens of host milliseconds each) so a long skip cannot blow past
-    // the caller's wall-clock budget between checks.
-    const bool armed = deadline.time_since_epoch().count() != 0;
-    constexpr u64 kDeadlineChunk = u64{1} << 22;
     const TranslationStats xs_before = core.translationStats();
     const auto t0 = std::chrono::steady_clock::now();
-    while (core.instrCount() < pos && !core.halted()) {
-        u64 gap = pos - core.instrCount();
-        if (armed && gap > kDeadlineChunk)
-            gap = kDeadlineChunk;
-        core.run(gap);
-        if (armed && std::chrono::steady_clock::now() >= deadline) {
-            panic("deadline expired during functional fast-forward of "
-                  "%s at position %llu",
-                  workload.c_str(),
-                  static_cast<unsigned long long>(core.instrCount()));
-        }
-    }
+    while (core.instrCount() < pos && !core.halted())
+        core.run(pos - core.instrCount());
     *ff_wall += std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - t0)
                     .count();
@@ -394,18 +378,10 @@ runPhaseSampled(const SimConfig &cfg, const std::string &workload,
     u64 detailed_retired = 0;
 
     for (const PhaseInfo &ph : pa->phases) {
-        if (cfg.hasDeadline()
-            && std::chrono::steady_clock::now() >= cfg.deadline) {
-            panic("deadline expired between phase windows of %s "
-                  "(phase %u)",
-                  workload.c_str(), ph.id);
-        }
-
         const u64 start = ph.rep * params.phase.interval;
         u64 halt_pos = 0;
         const std::shared_ptr<const Checkpoint> ck =
-            checkpointAt(e, workload, start, &ff_wall, &ff_stats,
-                         &halt_pos, cfg.deadline);
+            checkpointAt(e, workload, start, &ff_wall, &ff_stats, &halt_pos);
 
         PhaseCpi row;
         row.id = ph.id;
@@ -561,21 +537,10 @@ runWorkloadSampled(const SimConfig &cfg, const std::string &workload,
         if (budget > 0 && pos >= budget)
             break;
 
-        // Small detailed windows may finish under the engine's own
-        // deadline-check granule, so re-check between intervals too.
-        if (cfg.hasDeadline()
-            && std::chrono::steady_clock::now() >= cfg.deadline) {
-            panic("deadline expired between sampled intervals of %s "
-                  "at position %llu",
-                  workload.c_str(),
-                  static_cast<unsigned long long>(pos));
-        }
-
         const u64 start = pos + params.skip;
         u64 halt_pos = 0;
         const std::shared_ptr<const Checkpoint> ck =
-            checkpointAt(e, workload, start, &ff_wall, &ff_stats,
-                         &halt_pos, cfg.deadline);
+            checkpointAt(e, workload, start, &ff_wall, &ff_stats, &halt_pos);
         if (!ck) {
             // Program ends inside this skip: coverage extends to HALT.
             pos = halt_pos;

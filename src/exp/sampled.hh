@@ -24,7 +24,7 @@
  * warm+measure window runs at each phase representative, and CPI
  * aggregates by phase weight.  Omitted trailing fields default from
  * DMT_PHASE_K / DMT_PHASE_DIMS / DMT_PHASE_SEED (env consulted only by
- * fromEnv(); daemon job specs stay hermetic).
+ * fromEnv(); parse() stays hermetic).
  */
 
 #ifndef DMT_EXP_SAMPLED_HH
@@ -65,10 +65,9 @@ struct SampleParams
     /**
      * Canonical spec string: "skip:warm:measure:intervals" (uniform),
      * "phase:interval:warm:measure:maxk:dims:seed" (phase, every field
-     * explicit), or "off" when disabled.  This is the sample-spec
-     * component of the serve layer's content-addressed cache key, so
-     * it must render identically for parameter sets that behave
-     * identically.
+     * explicit), or "off" when disabled.  Benches and run_workload
+     * print it to name a sampled run, so it must render identically
+     * for parameter sets that behave identically.
      */
     std::string canonicalSpec() const;
 
@@ -116,9 +115,8 @@ void clearCheckpointCache();
  * sampled window first looks for its start checkpoint in memory
  * (mem_hits), then on disk under DMT_CKPT_DIR (disk_hits), and only
  * then pays for functional fast-forward to build one (builds).  The
- * daemon reports these in its `stats` reply and the local harness
- * mains print them in their stderr summaries, so warm-cache behaviour
- * is visible in both deployments.
+ * harness mains print them in their stderr summaries, so warm-cache
+ * behaviour is visible.
  */
 struct CheckpointCacheCounters
 {

@@ -19,8 +19,8 @@
  * superblock-translated threaded-code core ("translated", the default;
  * see sim/translated_core.hh).  Both produce bit-identical
  * architectural state, so every consumer of this API — checkpoint
- * generation, sampled runs, the serve daemon — picks up the fast
- * engine with no code changes.
+ * generation, sampled runs, conformance — picks up the fast engine
+ * with no code changes.
  */
 
 #ifndef DMT_SIM_FUNCTIONAL_CORE_HH

@@ -69,7 +69,7 @@ const char *ffModeName(FfMode mode);
 
 /**
  * DMT_FF_MODE: fast-forward engine for every FunctionalCore consumer
- * (checkpoint generation, sampled runs, conformance, serve daemon).
+ * (checkpoint generation, sampled runs, conformance).
  * Unset defaults to Translated; an unknown mode is a fatal() user
  * error, never a silent fallback.
  */

@@ -9,7 +9,6 @@
 #ifndef DMT_UARCH_CONFIG_HH
 #define DMT_UARCH_CONFIG_HH
 
-#include <chrono>
 #include <string>
 
 #include "branch/predictor.hh"
@@ -156,24 +155,6 @@ struct SimConfig
      *  instruction finally retires for this many cycles (0 = off);
      *  DMT_WATCHDOG overrides at engine construction. */
     u64 watchdog_cycles = 500000;
-    /**
-     * Absolute wall-clock deadline for this run (steady clock); a
-     * default-constructed (epoch) value disables the check.  Checked
-     * alongside the watchdog in DmtEngine::run() and in the sampled
-     * fast-forward loop; expiry panics ("deadline expired ...",
-     * SimError) so a caller — notably a serve-layer worker — fails one
-     * run, not the process.  Runtime scheduling state, not machine
-     * identity: excluded from jsonOn(), canonical hashes and cache
-     * keys.
-     */
-    std::chrono::steady_clock::time_point deadline{};
-
-    /** True when a wall-clock deadline is armed. */
-    bool
-    hasDeadline() const
-    {
-        return deadline.time_since_epoch().count() != 0;
-    }
 
     // ---- robustness --------------------------------------------------------
     /** Run the invariant auditor every this many cycles (0 = off);

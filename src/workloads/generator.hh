@@ -10,8 +10,8 @@
  *     gen:<family>:<seed>[:knob=value...]
  *
  * accepted everywhere a suite workload name is (buildWorkload, the
- * figure-bench sweep grids, run_workload, the serve daemon), so every
- * layer of the stack gains hundreds of scenarios per family for free.
+ * figure-bench sweep grids, run_workload), so every layer of the
+ * stack gains hundreds of scenarios per family for free.
  *
  * Determinism contract: a spec string fully determines the emitted
  * Program image, bit for bit, on every platform (all randomness comes
@@ -80,8 +80,7 @@ bool isGenSpec(std::string_view name);
  * Strict spec parse: unknown family names, malformed or duplicate
  * knobs, out-of-range values, empty fields and trailing garbage all
  * return false with a structured message in @p err — never a fatal().
- * The serve layer rejects bad specs as error replies through this;
- * local paths wrap it with fatal() (buildWorkload).
+ * Local paths wrap it with fatal() (buildWorkload).
  */
 bool parseGenSpec(std::string_view spec, GenParams *out,
                   std::string *err);

@@ -7,9 +7,8 @@
  * final architectural state (retired count, all registers, OUT
  * stream, memory pages) plus golden-clean recovery.  On top of the
  * state checks: canonical RunResult hashes must be stable across
- * reruns and across spec spellings, generated programs must survive
- * the ISA encode/decode round trip, and a gen: spec submitted to the
- * serve daemon must return bytes identical to a direct local run.
+ * reruns and across spec spellings, and generated programs must
+ * survive the ISA encode/decode round trip.
  *
  * Scenario count: all families x DMT_CONF_SEEDS seeds (default 15,
  * i.e. 105 scenarios; CI smoke uses 2).
@@ -28,9 +27,6 @@
 #include "exp/runner.hh"
 #include "exp/sampled.hh"
 #include "isa/encoding.hh"
-#include "serve/client.hh"
-#include "serve/protocol.hh"
-#include "serve/server.hh"
 #include "workloads/generator.hh"
 #include "workloads/workloads.hh"
 
@@ -202,117 +198,6 @@ TEST(SuiteConformance, MicrokernelScaleSuiteMembersConform)
     opts.max_steps = 20'000'000;
     const ConformanceReport rep = checkConformance("go", opts);
     EXPECT_TRUE(rep.ok) << rep.detail;
-}
-
-// ---- serve daemon byte-identity ----------------------------------------
-
-class GenServe : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        ServeOptions opts;
-        opts.port = 0; // ephemeral: tests never collide
-        opts.pool = 2;
-        opts.cache_entries = 64;
-        opts.drain_s = 10.0;
-        server = std::make_unique<Server>(opts);
-        std::string err;
-        ASSERT_TRUE(server->start(&err)) << err;
-    }
-
-    ServeClient
-    makeClient()
-    {
-        ServeClient c;
-        std::string err;
-        EXPECT_TRUE(c.connect(server->port(), &err, 2.0)) << err;
-        return c;
-    }
-
-    std::string
-    runJob(ServeClient &c, const JobSpec &job, JsonValue *reply,
-           i64 id = 1)
-    {
-        std::string err, raw;
-        EXPECT_TRUE(c.request(runRequestLine(id, job), reply, &err))
-            << err;
-        const JsonValue *ok = reply->find("ok");
-        EXPECT_TRUE(ok && ok->asBool())
-            << "job failed: " << c.lastLine();
-        EXPECT_TRUE(extractRawResult(c.lastLine(), &raw));
-        return raw;
-    }
-
-    std::unique_ptr<Server> server;
-};
-
-TEST_F(GenServe, GenSpecThroughDaemonMatchesDirectRunByteForByte)
-{
-    constexpr u64 kBudget = 4000;
-    JobSpec job;
-    job.workload = "gen:loopnest:7:trips=20"; // non-canonical spelling
-    job.cfg = SimConfig::dmt(2, 2);
-    job.cfg.max_retired = kBudget;
-    job.max_retired = kBudget;
-
-    ServeClient c = makeClient();
-    JsonValue reply;
-    const std::string served = runJob(c, job, &reply);
-    EXPECT_FALSE(reply.find("cached")->asBool());
-
-    const RunResult direct = runWorkloadJob(job.cfg, job.workload,
-                                            job.max_retired, job.sample);
-    EXPECT_EQ(served, direct.jsonString())
-        << "daemon-computed bytes must equal a direct local run";
-
-    // The canonical spelling is the same workload — it must hit the
-    // cache and return the very same bytes.
-    JobSpec canon = job;
-    canon.workload = canonicalWorkloadName(job.workload);
-    EXPECT_NE(canon.workload, job.workload);
-    JsonValue warm_reply;
-    const std::string warm = runJob(c, canon, &warm_reply, 2);
-    EXPECT_TRUE(warm_reply.find("cached")->asBool())
-        << "two spellings of one gen workload must share one cache "
-           "cell";
-    EXPECT_EQ(served, warm);
-}
-
-TEST_F(GenServe, MalformedGenSpecsAreRejectedDaemonSurvives)
-{
-    ServeClient c = makeClient();
-    std::string err;
-    JsonValue reply;
-
-    for (const char *bad :
-         {"gen:nosuchfamily:1", "gen:loopnest:1:trips=0",
-          "gen:loopnest:1:trips=999999999", "gen:loopnest:xyz",
-          "gen:loopnest:1:depth=3junk", "gen:loopnest:1:trips",
-          "gen:loopnest", "gen:loopnest:1:trips=4:trips=5",
-          "gen::1", "gen:loopnest:1:"}) {
-        JobSpec job;
-        job.workload = bad;
-        job.cfg = SimConfig::dmt(2, 2);
-        job.cfg.max_retired = 2000;
-        job.max_retired = 2000;
-        ASSERT_TRUE(c.request(runRequestLine(1, job), &reply, &err))
-            << err;
-        const JsonValue *ok = reply.find("ok");
-        ASSERT_TRUE(ok && !ok->asBool())
-            << bad << " must be rejected, got: " << c.lastLine();
-    }
-
-    // The daemon survived every rejection and still serves good jobs.
-    JobSpec good;
-    good.workload = "gen:loopnest:1";
-    good.cfg = SimConfig::dmt(2, 2);
-    good.cfg.max_retired = 2000;
-    good.max_retired = 2000;
-    JsonValue good_reply;
-    runJob(c, good, &good_reply, 99);
-    EXPECT_TRUE(good_reply.find("ok")->asBool());
 }
 
 } // namespace

@@ -52,6 +52,14 @@ struct DmtCfgCase
     bool realistic_fus;
 };
 
+// Without this, gtest prints the case as raw bytes: the address of
+// `name` and the struct padding, so the test name changed every run.
+void
+PrintTo(const DmtCfgCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class DmtConfigSweep : public ::testing::TestWithParam<DmtCfgCase>
 {
 };

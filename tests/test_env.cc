@@ -9,17 +9,11 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <cstdio>
 #include <cstdlib>
 
 #include "common/env.hh"
 #include "exp/runner.hh"
 #include "exp/sampled.hh"
-#include "serve/faultnet.hh"
-#include "serve/server.hh"
 #include "sim/translated_core.hh"
 #include "workloads/generator.hh"
 #include "workloads/workloads.hh"
@@ -203,37 +197,10 @@ TEST(FfCacheDeath, GarbageAndRangeAreFatal)
     unsetenv("DMT_FF_CACHE");
 }
 
-namespace
-{
-
-void
-clearServeEnv()
-{
-    unsetenv("DMT_SERVE_PORT");
-    unsetenv("DMT_SERVE_JOBS");
-    unsetenv("DMT_SERVE_CACHE");
-    unsetenv("DMT_SERVE_DRAIN_S");
-    unsetenv("DMT_SERVE_CACHE_DIR");
-    unsetenv("DMT_SERVE_QUEUE");
-    unsetenv("DMT_SERVE_DEADLINE_S");
-}
-
-void
-clearFaultNetEnv()
-{
-    unsetenv("DMT_FAULTNET");
-    unsetenv("DMT_FAULTNET_RATE");
-    unsetenv("DMT_FAULTNET_SEED");
-    unsetenv("DMT_FAULTNET_STALL_MS");
-}
-
-} // namespace
-
 // ---------------------------------------------------------------------
 // DMT_SAMPLE spec parsing: the strict non-fatal SampleParams::parse()
-// layer the daemon relies on, the canonical rendering that feeds the
-// serve cache key, and the DMT_PHASE_* defaults that only fromEnv()
-// may consult.
+// layer under fromEnv(), the canonical rendering that names a sampled
+// run, and the DMT_PHASE_* defaults that only fromEnv() may consult.
 // ---------------------------------------------------------------------
 
 TEST(SampleSpec, PhaseParsesAndCanonicalizes)
@@ -251,7 +218,7 @@ TEST(SampleSpec, PhaseParsesAndCanonicalizes)
     EXPECT_EQ(p.phase.dims, 16u);
     EXPECT_EQ(p.phase.seed, 42u);
     // Canonical form is always fully explicit: two specs that behave
-    // identically must render identical cache keys.
+    // identically must render identically.
     EXPECT_EQ(p.canonicalSpec(), "phase:20000:500:1500:8:16:42");
 
     SampleParams q;
@@ -272,7 +239,17 @@ TEST(SampleSpec, PhaseParsesAndCanonicalizes)
     SampleParams u;
     ASSERT_TRUE(SampleParams::parse("1000:200:300", &u, &err)) << err;
     EXPECT_FALSE(u.phaseMode());
+    EXPECT_TRUE(u.enabled());
+    EXPECT_EQ(u.skip, 1000u);
+    EXPECT_EQ(u.warm, 200u);
+    EXPECT_EQ(u.measure, 300u);
+    EXPECT_EQ(u.max_intervals, 0u);
     EXPECT_EQ(u.canonicalSpec(), "1000:200:300:0");
+    ASSERT_TRUE(SampleParams::parse("1000:100:200", &u, &err)) << err;
+    EXPECT_EQ(u.canonicalSpec(), "1000:100:200:0");
+    ASSERT_TRUE(SampleParams::parse("1000:100:200:5", &u, &err)) << err;
+    EXPECT_EQ(u.max_intervals, 5u);
+    EXPECT_EQ(u.canonicalSpec(), "1000:100:200:5");
     EXPECT_EQ(SampleParams{}.canonicalSpec(), "off");
     SampleParams off;
     ASSERT_TRUE(SampleParams::parse("", &off, &err)) << err;
@@ -296,6 +273,11 @@ TEST(SampleSpec, PhaseRejectionsAreStructuredErrors)
         {"phase:100:5:10:65", "maxk must be 1..64"},
         {"phase:100:5:10:8:0", "dims must be 1..256"},
         {"phase:100:5:10:8:257", "dims must be 1..256"},
+        // Uniform specs go through the same strict layer.
+        {"1000:100", "skip:warm:measure[:intervals]"},
+        {"1:2:3:4:5", "skip:warm:measure[:intervals]"},
+        {"a:b:c", "bad sample spec field"},
+        {"1000:100:0", "measure window must be > 0"},
     };
     for (const auto &c : cases) {
         SampleParams p;
@@ -343,7 +325,7 @@ TEST(SampleEnv, PhaseKnobsFillOnlyOmittedFields)
     ASSERT_TRUE(
         SampleParams::parse("phase:20000:500:1500", &p, &err)) << err;
     EXPECT_EQ(p.phase.max_k, 8u)
-        << "parse() must stay hermetic for daemon job specs";
+        << "parse() must stay hermetic: only fromEnv() reads the env";
 
     unsetenv("DMT_SAMPLE");
     unsetenv("DMT_PHASE_K");
@@ -375,133 +357,10 @@ TEST(SampleEnvDeath, PhaseGarbageAndRangeAreFatal)
     unsetenv("DMT_SAMPLE");
 }
 
-TEST(ServeEnv, DefaultsWhenUnset)
-{
-    clearServeEnv();
-    const ServeOptions o = ServeOptions::fromEnv();
-    EXPECT_EQ(o.port, 1998);
-    EXPECT_EQ(o.pool, 0) << "0 = sweep pool width";
-    EXPECT_EQ(o.cache_entries, 4096u);
-    EXPECT_DOUBLE_EQ(o.drain_s, 30.0);
-    EXPECT_TRUE(o.cache_dir.empty()) << "durable tier off by default";
-    EXPECT_EQ(o.queue_max, 1024u);
-    EXPECT_DOUBLE_EQ(o.deadline_s, 0.0) << "no deadline by default";
-}
-
-TEST(ServeEnv, ReadsValidValues)
-{
-    setenv("DMT_SERVE_PORT", "0", 1);
-    setenv("DMT_SERVE_JOBS", "4", 1);
-    setenv("DMT_SERVE_CACHE", "0", 1);
-    setenv("DMT_SERVE_DRAIN_S", "1.5", 1);
-    setenv("DMT_SERVE_QUEUE", "8", 1);
-    setenv("DMT_SERVE_DEADLINE_S", "2.5", 1);
-    const ServeOptions o = ServeOptions::fromEnv();
-    EXPECT_EQ(o.port, 0) << "0 = ephemeral port";
-    EXPECT_EQ(o.pool, 4);
-    EXPECT_EQ(o.cache_entries, 0u) << "0 = storage off, dedup on";
-    EXPECT_DOUBLE_EQ(o.drain_s, 1.5);
-    EXPECT_EQ(o.queue_max, 8u);
-    EXPECT_DOUBLE_EQ(o.deadline_s, 2.5);
-    clearServeEnv();
-}
-
-TEST(ServeEnv, CacheDirIsCreatedAndAccepted)
-{
-    clearServeEnv();
-    const char *dir = "serve_env_cache_dir";
-    ::rmdir(dir);
-    setenv("DMT_SERVE_CACHE_DIR", dir, 1);
-    const ServeOptions o = ServeOptions::fromEnv();
-    EXPECT_EQ(o.cache_dir, dir);
-    struct stat st{};
-    EXPECT_EQ(::stat(dir, &st), 0) << "fromEnv must create the dir";
-    EXPECT_TRUE(S_ISDIR(st.st_mode));
-    clearServeEnv();
-    ::rmdir(dir);
-}
-
-TEST(ServeEnvDeath, GarbageIsFatal)
-{
-    clearServeEnv();
-    setenv("DMT_SERVE_PORT", "http", 1);
-    EXPECT_DEATH(ServeOptions::fromEnv(), "DMT_SERVE_PORT");
-    setenv("DMT_SERVE_PORT", "1998x", 1);
-    EXPECT_DEATH(ServeOptions::fromEnv(), "DMT_SERVE_PORT");
-    unsetenv("DMT_SERVE_PORT");
-    setenv("DMT_SERVE_DRAIN_S", "soon", 1);
-    EXPECT_DEATH(ServeOptions::fromEnv(), "DMT_SERVE_DRAIN_S");
-    unsetenv("DMT_SERVE_DRAIN_S");
-    setenv("DMT_SERVE_QUEUE", "many", 1);
-    EXPECT_DEATH(ServeOptions::fromEnv(), "DMT_SERVE_QUEUE");
-    unsetenv("DMT_SERVE_QUEUE");
-    setenv("DMT_SERVE_DEADLINE_S", "5s", 1);
-    EXPECT_DEATH(ServeOptions::fromEnv(), "DMT_SERVE_DEADLINE_S");
-    clearServeEnv();
-}
-
-TEST(ServeEnvDeath, RangeIsEnforced)
-{
-    clearServeEnv();
-    setenv("DMT_SERVE_PORT", "70000", 1);
-    EXPECT_DEATH(ServeOptions::fromEnv(), "out of range");
-    unsetenv("DMT_SERVE_PORT");
-    setenv("DMT_SERVE_JOBS", "5000", 1);
-    EXPECT_DEATH(ServeOptions::fromEnv(), "out of range");
-    unsetenv("DMT_SERVE_JOBS");
-    setenv("DMT_SERVE_DRAIN_S", "-1", 1);
-    EXPECT_DEATH(ServeOptions::fromEnv(), "out of range");
-    unsetenv("DMT_SERVE_DRAIN_S");
-    setenv("DMT_SERVE_DEADLINE_S", "-0.5", 1);
-    EXPECT_DEATH(ServeOptions::fromEnv(), "out of range");
-    clearServeEnv();
-}
-
-TEST(ServeEnvDeath, CacheDirThatIsAFileIsFatal)
-{
-    clearServeEnv();
-    const char *path = "serve_env_cache_file";
-    std::FILE *f = std::fopen(path, "w");
-    ASSERT_NE(f, nullptr);
-    std::fclose(f);
-    setenv("DMT_SERVE_CACHE_DIR", path, 1);
-    EXPECT_DEATH(ServeOptions::fromEnv(), "not a directory");
-    clearServeEnv();
-    std::remove(path);
-}
-
-TEST(FaultNetEnv, DefaultsWhenUnset)
-{
-    clearFaultNetEnv();
-    const FaultNetOptions o = FaultNetOptions::fromEnv(1998);
-    EXPECT_EQ(o.upstream_port, 1998);
-    EXPECT_EQ(o.listen_port, 0) << "proxy always picks an ephemeral "
-                                   "port";
-    EXPECT_DOUBLE_EQ(o.rate, 0.05);
-    EXPECT_EQ(o.seed, 1998u);
-    EXPECT_EQ(o.stall_ms, 100u);
-}
-
-TEST(FaultNetEnv, ReadsValidValues)
-{
-    clearFaultNetEnv();
-    setenv("DMT_FAULTNET_RATE", "0.25", 1);
-    setenv("DMT_FAULTNET_SEED", "42", 1);
-    setenv("DMT_FAULTNET_STALL_MS", "7", 1);
-    const FaultNetOptions o = FaultNetOptions::fromEnv(1998);
-    EXPECT_DOUBLE_EQ(o.rate, 0.25);
-    EXPECT_EQ(o.seed, 42u);
-    EXPECT_EQ(o.stall_ms, 7u);
-    // The enable flag itself is strictly boolean.
-    setenv("DMT_FAULTNET", "1", 1);
-    EXPECT_EQ(parseEnvU64("DMT_FAULTNET", 0, 0, 1), 1u);
-    clearFaultNetEnv();
-}
-
 // ---------------------------------------------------------------------
 // gen:<family>:<seed> workload-spec parsing: parseGenSpec() is the
-// strict non-fatal layer the daemon relies on; buildWorkload() and
-// canonicalWorkloadName() wrap it with fatal() for the local CLI.
+// strict non-fatal layer; buildWorkload() and canonicalWorkloadName()
+// wrap it with fatal() for the local CLI.
 // ---------------------------------------------------------------------
 
 TEST(GenSpec, CanonicalSpecRoundTripsThroughParse)
@@ -568,6 +427,7 @@ TEST(GenSpec, EveryRejectionClassYieldsAStructuredError)
         {"gen:loopnest:1:speed=5", "unknown knob"},
         {"gen:loopnest:1:trips=4:trips=5", "duplicate knob"},
         {"gen:loopnest:1:trips=4x", "bad value"},
+        {"gen:loopnest:1:depth=3junk", "bad value"},
         {"gen:loopnest:1:trips=0", "out of range"},
         {"gen:loopnest:1:trips=999999999", "out of range"},
         {"gen:loopnest:1:", "need knob=value"}, // trailing colon
@@ -592,27 +452,6 @@ TEST(GenSpecDeath, MalformedSpecsAreFatalInTheLocalCli)
     EXPECT_DEATH(buildGenWorkload(std::string("gen:loopnest:1:trips=0")),
                  "out of range");
     EXPECT_DEATH(canonicalWorkloadName("gen:loopnest:xyz"), "bad seed");
-}
-
-TEST(FaultNetEnvDeath, GarbageAndRangeAreFatal)
-{
-    clearFaultNetEnv();
-    setenv("DMT_FAULTNET_RATE", "lots", 1);
-    EXPECT_DEATH(FaultNetOptions::fromEnv(1998), "DMT_FAULTNET_RATE");
-    setenv("DMT_FAULTNET_RATE", "1.5", 1);
-    EXPECT_DEATH(FaultNetOptions::fromEnv(1998), "out of range");
-    unsetenv("DMT_FAULTNET_RATE");
-    setenv("DMT_FAULTNET_SEED", "0x29", 1);
-    EXPECT_DEATH(FaultNetOptions::fromEnv(1998), "DMT_FAULTNET_SEED");
-    unsetenv("DMT_FAULTNET_SEED");
-    setenv("DMT_FAULTNET_STALL_MS", "90000", 1);
-    EXPECT_DEATH(FaultNetOptions::fromEnv(1998), "out of range");
-    unsetenv("DMT_FAULTNET_STALL_MS");
-    setenv("DMT_FAULTNET", "yes", 1);
-    EXPECT_DEATH(parseEnvU64("DMT_FAULTNET", 0, 0, 1), "DMT_FAULTNET");
-    setenv("DMT_FAULTNET", "2", 1);
-    EXPECT_DEATH(parseEnvU64("DMT_FAULTNET", 0, 0, 1), "out of range");
-    clearFaultNetEnv();
 }
 
 } // namespace

@@ -2,8 +2,8 @@
  * @file
  * Experiment-layer tests: the per-figure machine configurations encode
  * exactly the parameters the paper states (these tests are the
- * machine-readable form of Section 4's methodology), plus the runner
- * and table renderer.
+ * machine-readable form of Section 4's methodology), plus the runner,
+ * the table renderer and the canonical result digest.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include "exp/experiments.hh"
 #include "exp/report.hh"
 #include "exp/runner.hh"
+#include "exp/sampled.hh"
 
 namespace dmt
 {
@@ -164,6 +165,30 @@ TEST(Report, AverageIgnoresPriorAverages)
     const std::string out = rep.render();
     // avg2 must be mean(2,4) = 3, not influenced by avg1.
     EXPECT_NE(out.find("3.00"), std::string::npos);
+}
+
+TEST(CanonicalHash, FnvPrimitives)
+{
+    EXPECT_EQ(fnv1aHash(""), kFnvBasis);
+    EXPECT_NE(fnv1aHash("a"), fnv1aHash("b"));
+    EXPECT_NE(fnv1aHash("ab"), fnv1aHash("ba")) << "order matters";
+    // Chaining two pieces equals hashing the concatenation.
+    EXPECT_EQ(fnv1aHash("cd", fnv1aHash("ab")), fnv1aHash("abcd"));
+}
+
+TEST(CanonicalHash, HostTimingIsExcluded)
+{
+    SimConfig cfg = SimConfig::dmt(2, 2);
+    cfg.max_retired = 2000;
+    const RunResult a = runWorkloadJob(cfg, "go", 2000, SampleParams{});
+    RunResult b = a;
+    b.wall_s = a.wall_s + 123.0;
+    b.minstr_per_s = a.minstr_per_s + 9.0;
+    b.sampling.func_wall_s = 77.0;
+    EXPECT_EQ(canonicalHash(a), canonicalHash(b))
+        << "nondeterministic host timing must not change the digest";
+    b.cycles += 1;
+    EXPECT_NE(canonicalHash(a), canonicalHash(b));
 }
 
 } // namespace

@@ -7,8 +7,7 @@
  * pipeline must be deterministic across cache states and engines and
  * must agree with full-detail CPI, and a checked-in signature
  * (tests/golden/phase_go.json, regenerated with DMT_UPDATE_GOLDEN=1)
- * pins the whole thing.  A live daemon round-trip proves phase-spec
- * jobs inherit the serve layer's byte-identity contract.
+ * pins the whole thing.
  */
 
 #include <gtest/gtest.h>
@@ -27,9 +26,6 @@
 #include "exp/phase.hh"
 #include "exp/runner.hh"
 #include "exp/sampled.hh"
-#include "serve/client.hh"
-#include "serve/protocol.hh"
-#include "serve/server.hh"
 #include "sim/bbv.hh"
 #include "sim/translated_core.hh"
 #include "uarch/config.hh"
@@ -57,7 +53,7 @@ const struct EnvSanitizer
     }
 } env_sanitizer;
 
-/** The phase spec used by the determinism/golden/daemon tests. */
+/** The phase spec used by the determinism and golden tests. */
 SampleParams
 phaseParams(const std::string &spec)
 {
@@ -433,75 +429,6 @@ TEST(PhaseSampled, GoldenSignature)
     EXPECT_EQ(buf.str(), got)
         << "phase-sampled run drifted from tests/golden/phase_go.json; "
            "if intentional, regenerate with DMT_UPDATE_GOLDEN=1";
-}
-
-// ---- daemon byte-identity ----------------------------------------------
-
-class PhaseServe : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        clearAllCaches();
-        ServeOptions opts;
-        opts.port = 0; // ephemeral: tests never collide
-        opts.pool = 2;
-        opts.cache_entries = 64;
-        opts.drain_s = 10.0;
-        server = std::make_unique<Server>(opts);
-        std::string err;
-        ASSERT_TRUE(server->start(&err)) << err;
-    }
-
-    void
-    TearDown() override
-    {
-        server.reset();
-        clearAllCaches();
-    }
-
-    std::unique_ptr<Server> server;
-};
-
-TEST_F(PhaseServe, ColdCachedAndDirectAnswersAreByteIdentical)
-{
-    constexpr u64 kBudget = 60000;
-    JobSpec job;
-    job.workload = "go";
-    job.cfg = SimConfig::dmt(2, 2);
-    job.cfg.max_retired = kBudget;
-    job.max_retired = kBudget;
-    job.sample = phaseParams("phase:5000:200:600");
-
-    ServeClient c;
-    std::string err;
-    ASSERT_TRUE(c.connect(server->port(), &err, 2.0)) << err;
-
-    JsonValue cold_reply;
-    std::string cold;
-    ASSERT_TRUE(c.request(runRequestLine(1, job), &cold_reply, &err))
-        << err;
-    ASSERT_TRUE(cold_reply.find("ok") && cold_reply.find("ok")->asBool())
-        << c.lastLine();
-    ASSERT_TRUE(extractRawResult(c.lastLine(), &cold));
-    EXPECT_FALSE(cold_reply.find("cached")->asBool());
-
-    JsonValue warm_reply;
-    std::string warm;
-    ASSERT_TRUE(c.request(runRequestLine(2, job), &warm_reply, &err))
-        << err;
-    ASSERT_TRUE(extractRawResult(c.lastLine(), &warm));
-    EXPECT_TRUE(warm_reply.find("cached")->asBool());
-
-    const RunResult direct = runWorkloadJob(job.cfg, job.workload,
-                                            job.max_retired, job.sample);
-    EXPECT_EQ(direct.sampling.mode, "phase");
-    EXPECT_EQ(cold, direct.jsonString())
-        << "daemon-computed phase bytes must equal a direct local run";
-    EXPECT_EQ(warm, direct.jsonString())
-        << "cache replay must not alter a single byte";
-    EXPECT_EQ(server->jobsSimulated(), 1u);
 }
 
 } // namespace
