@@ -20,11 +20,10 @@ namespace dmt
 
 std::vector<IntervalBbv>
 collectBbvs(const Program &prog, u64 interval_len, u64 budget,
-            FfMode mode, u64 *covered_out, bool *completed_out)
+            u64 *covered_out, bool *completed_out)
 {
     DMT_ASSERT(interval_len > 0, "BBV interval length must be > 0");
     FunctionalCore core(prog);
-    core.setMode(mode);
     BbvCollector bbv(interval_len, prog.text.size(), prog.entry);
     core.setBbv(&bbv);
     // Chunked so an unbounded profile of a non-halting program is
@@ -421,8 +420,7 @@ phaseAnalysisFor(const std::string &workload,
     u64 covered = 0;
     bool completed = false;
     const std::vector<IntervalBbv> bbvs =
-        collectBbvs(prog, params.interval, budget, ffModeFromEnv(),
-                    &covered, &completed);
+        collectBbvs(prog, params.interval, budget, &covered, &completed);
     *pa = clusterPhases(bbvs, params);
     pa->covered = covered;
     pa->completed = completed;

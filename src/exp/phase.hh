@@ -14,12 +14,12 @@
  * window per representative and aggregates CPI by weight.
  *
  * Determinism contract: every stage is bit-identical across reruns,
- * platforms, DMT_JOBS settings and both fast-forward engines.  The
- * BBVs are a pure function of the architectural instruction stream
- * (sim/bbv.hh); projection directions and every k-means tie-break come
- * from splitmix64 streams keyed only by (seed, block, dim) or broken
- * by lowest index; no floating-point reduction depends on traversal
- * order beyond the fixed interval order.
+ * platforms and DMT_JOBS settings.  The BBVs are a pure function of
+ * the architectural instruction stream (sim/bbv.hh); projection
+ * directions and every k-means tie-break come from splitmix64 streams
+ * keyed only by (seed, block, dim) or broken by lowest index; no
+ * floating-point reduction depends on traversal order beyond the fixed
+ * interval order.
  */
 
 #ifndef DMT_EXP_PHASE_HH
@@ -31,7 +31,6 @@
 
 #include "casm/program.hh"
 #include "sim/bbv.hh"
-#include "sim/translated_core.hh"
 
 namespace dmt
 {
@@ -72,17 +71,41 @@ struct PhaseAnalysis
 };
 
 /**
- * Collect interval BBVs by fast-forwarding @p prog from its entry on
- * engine @p mode; stops at HALT or after @p budget instructions
- * (0 = run to HALT).  @p covered_out / @p completed_out report how far
- * the profile reached.  The result is bit-identical for both FfMode
- * values (the sim/bbv.hh contract); tests pin each engine explicitly.
+ * Collect interval BBVs by fast-forwarding @p prog from its entry;
+ * stops at HALT or after @p budget instructions (0 = run to HALT).
+ * @p covered_out / @p completed_out report how far the profile
+ * reached.  The result is a pure function of the architectural stream
+ * (the sim/bbv.hh contract).
  */
 std::vector<IntervalBbv> collectBbvs(const Program &prog,
                                      u64 interval_len, u64 budget,
-                                     FfMode mode,
                                      u64 *covered_out = nullptr,
                                      bool *completed_out = nullptr);
+
+/**
+ * Source-compatibility shims for perfbench/workloads.cc, whose
+ * collectBbvs() call still names a fast-forward engine.  There is one
+ * engine; the mode is ignored and no environment variable is read.
+ * Nothing else may use these.
+ */
+enum class FfMode : u8
+{
+    Translated,
+};
+
+inline FfMode
+ffModeFromEnv()
+{
+    return FfMode::Translated;
+}
+
+inline std::vector<IntervalBbv>
+collectBbvs(const Program &prog, u64 interval_len, u64 budget, FfMode,
+            u64 *covered_out, bool *completed_out)
+{
+    return collectBbvs(prog, interval_len, budget, covered_out,
+                       completed_out);
+}
 
 /**
  * Project + cluster @p bbvs under @p params.  interval_len, covered
@@ -97,10 +120,9 @@ PhaseAnalysis clusterPhases(const std::vector<IntervalBbv> &bbvs,
 /**
  * Cached end-to-end analysis for @p workload (a canonical suite /
  * gen: name) bounded by @p budget stream instructions (0 = to HALT).
- * Profiling runs on the DMT_FF_MODE engine; results are process-wide
- * shared (immutable) and keyed by (workload, params, budget), so sweep
- * cells over the same workload pay for profiling once — mirroring the
- * sampled checkpoint cache.
+ * Results are process-wide shared (immutable) and keyed by (workload,
+ * params, budget), so sweep cells over the same workload pay for
+ * profiling once — mirroring the sampled checkpoint cache.
  */
 std::shared_ptr<const PhaseAnalysis>
 phaseAnalysisFor(const std::string &workload, const PhaseParams &params,

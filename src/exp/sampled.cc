@@ -479,7 +479,6 @@ runPhaseSampled(const SimConfig &cfg, const std::string &workload,
         ? pa->covered - detailed_retired
         : 0;
     r.sampling.func_wall_s = ff_wall;
-    r.sampling.ff_mode = ffModeName(ffModeFromEnv());
     r.sampling.ff_blocks_translated = ff_stats.blocks_translated;
     r.sampling.ff_retranslations = ff_stats.retranslations;
     r.sampling.ff_evictions = ff_stats.evictions;
@@ -611,7 +610,6 @@ runWorkloadSampled(const SimConfig &cfg, const std::string &workload,
     r.sampling.covered = pos;
     r.sampling.functional_instr = pos - detailed_retired;
     r.sampling.func_wall_s = ff_wall;
-    r.sampling.ff_mode = ffModeName(ffModeFromEnv());
     r.sampling.ff_blocks_translated = ff_stats.blocks_translated;
     r.sampling.ff_retranslations = ff_stats.retranslations;
     r.sampling.ff_evictions = ff_stats.evictions;

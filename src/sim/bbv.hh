@@ -4,9 +4,8 @@
  *
  * Phase analysis (exp/phase.hh) needs, for every fixed-length interval
  * of the dynamic instruction stream, a sparse vector of "how many
- * instructions executed in each basic block".  Both fast-forward
- * engines feed the same collector under one exact contract so the
- * vectors are bit-identical across DMT_FF_MODE settings:
+ * instructions executed in each basic block".  The fast-forward engine
+ * feeds the collector under one exact contract:
  *
  *   - A *region* is a maximal run of dynamically executed instructions
  *     between taken control transfers (J, JAL, JR, JALR, and taken
@@ -23,13 +22,14 @@
  *     position.
  *
  * The result is a pure function of the architectural instruction
- * stream: independent of the engine, of how run() calls are chunked,
- * of checkpoint-cache state and of DMT_JOBS.  The engines report only
- * at region boundaries (one call per taken transfer, carrying the
- * instruction count since the previous boundary), so the interpreter
- * pays one counter bump per transfer and the translated engine keeps
- * its per-instruction dispatch loop untouched; with no collector
- * attached both engines pay a single predictable branch per transfer.
+ * stream, pinned against a functionalStep() reference
+ * (tests/step_reference.hh): independent of how run() calls are
+ * chunked, of translation-cache and checkpoint-cache state and of
+ * DMT_JOBS.  The engine reports only at region boundaries (one call
+ * per taken transfer, carrying the instruction count since the
+ * previous boundary), so its per-instruction dispatch loop stays
+ * untouched; with no collector attached it pays a single predictable
+ * branch per transfer.
  */
 
 #ifndef DMT_SIM_BBV_HH

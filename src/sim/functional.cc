@@ -197,14 +197,18 @@ runFunctional(ArchState &state, MainMemory &mem, const Program &prog,
 {
     u64 steps = 0;
     while (!state.halted) {
-        functionalStep(state, mem, prog);
-        if (++steps >= max_steps) {
+        // A fetch off the text segment halts without executing an
+        // instruction, so it is neither counted nor budgeted.
+        const bool fetches = prog.validTextAddr(state.pc);
+        if (fetches && steps == max_steps) {
             // Throwing (not exiting) lets sweeps treat a runaway
             // functional prefix as one failed cell, like any other
             // contained SimError.
             panic("functional run exceeded %llu steps",
                   static_cast<unsigned long long>(max_steps));
         }
+        functionalStep(state, mem, prog);
+        steps += fetches;
     }
     return steps;
 }

@@ -63,10 +63,11 @@ StepResult functionalStep(ArchState &state, MainMemory &mem,
 /**
  * Run the whole program functionally.
  *
- * @param max_steps safety bound; throws SimError when exceeded so
- *        sweep cells with runaway prefixes fail as cells, not as
- *        process exits.
- * @return executed instruction count.
+ * @param max_steps safety bound; throws SimError when the program
+ *        needs more than this many instructions, so sweep cells with
+ *        runaway prefixes fail as cells, not as process exits.
+ * @return executed instruction count.  A HALT counts; the fetch off
+ *         the text segment that halts a program without one does not.
  */
 u64 runFunctional(ArchState &state, MainMemory &mem, const Program &prog,
                   u64 max_steps = 500'000'000);

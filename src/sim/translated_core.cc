@@ -13,17 +13,15 @@
  *   chain_miss    — out-of-line cache lookup that installs the chain
  *                   link for next time
  *
- * Dispatch is direct-threaded via computed goto on GNU-compatible
- * compilers; defining DMT_FF_SWITCH_DISPATCH (CMake option
- * DMT_FF_SWITCH) selects a portable switch loop built from the very
- * same handler bodies, so the two paths cannot drift.
+ * Dispatch is direct-threaded via computed goto (a GNU extension that
+ * GCC and Clang implement); other compilers are rejected at build time.
  *
- * Exactness notes, mirrored from functionalStep()/FunctionalCore:
+ * Exactness notes, mirrored from functionalStep():
  *  - the instruction budget is retired per instruction, so a run can
  *    stop mid-block with the precise next PC (checkpoint positions);
  *  - an invalid fetch PC (off text / misaligned) halts without
- *    consuming budget, *after* the budget check, like the
- *    interpreter's loop-top ordering;
+ *    consuming budget, *after* the budget check: the off-text fetch
+ *    is not an executed instruction;
  *  - HALT consumes budget and leaves PC on itself;
  *  - JALR reads rs before the (possibly aliasing) link write;
  *  - loads of unallocated pages read zero and never allocate;
@@ -33,62 +31,13 @@
 #include "sim/translated_core.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 
-#include "common/env.hh"
 #include "common/log.hh"
-#include "common/strutil.hh"
 #include "sim/bbv.hh"
 
 namespace dmt
 {
-
-// ---- mode / env knobs --------------------------------------------------
-
-bool
-parseFfMode(std::string_view s, FfMode *out)
-{
-    const std::string_view t = trim(s);
-    if (t == "interp") {
-        *out = FfMode::Interp;
-        return true;
-    }
-    if (t == "translated") {
-        *out = FfMode::Translated;
-        return true;
-    }
-    return false;
-}
-
-const char *
-ffModeName(FfMode mode)
-{
-    return mode == FfMode::Interp ? "interp" : "translated";
-}
-
-FfMode
-ffModeFromEnv()
-{
-    const char *raw = std::getenv("DMT_FF_MODE");
-    if (!raw || !*raw)
-        return FfMode::Translated;
-    FfMode mode;
-    if (!parseFfMode(raw, &mode)) {
-        fatal("DMT_FF_MODE=\"%s\": unknown fast-forward mode (expected "
-              "\"interp\" or \"translated\")",
-              raw);
-    }
-    return mode;
-}
-
-u32
-ffCacheBlocksFromEnv()
-{
-    return static_cast<u32>(parseEnvU64(
-        "DMT_FF_CACHE", TranslatedCore::kDefaultCacheBlocks, 1,
-        u64{1} << 20));
-}
 
 TranslationStats &
 TranslationStats::operator+=(const TranslationStats &o)
@@ -126,11 +75,12 @@ TranslationStats::operator-(const TranslationStats &o) const
 namespace
 {
 
-/** MicroOp.kind values are raw Opcode values, plus synthetic kinds:
- *  kGotoKind closes capped / text-end blocks with a budget-free
- *  transfer, and the inline-jump kinds are J/JAL whose direct target
- *  was followed during translation (superblock extension), so they
- *  execute as sequential micro-ops whose next PC is the target. */
+/** Handler kinds (indices into the label table) are raw Opcode
+ *  values, plus synthetic kinds: kGotoKind closes capped / text-end
+ *  blocks with a budget-free transfer, and the inline-jump kinds are
+ *  J/JAL whose direct target was followed during translation
+ *  (superblock extension), so they execute as sequential micro-ops
+ *  whose next PC is the target. */
 constexpr u8 kGotoKind = static_cast<u8>(kNumOpcodes);
 constexpr u8 kJInlineKind = static_cast<u8>(kNumOpcodes) + 1;
 constexpr u8 kJalInlineKind = static_cast<u8>(kNumOpcodes) + 2;
@@ -313,7 +263,7 @@ TranslatedCore::translate(u32 start_idx)
         const Instruction &inst = prog_.text[idx];
         const Addr pc = Program::kTextBase + static_cast<Addr>(idx) * 4;
         MicroOp u{};
-        u.kind = opKind(inst.op);
+        u8 kind = opKind(inst.op);
         u.rd = inst.effectiveDest() >= 0
             ? inst.rd
             : static_cast<u8>(kNumLogRegs); // r0 / no-dest write dump
@@ -353,8 +303,8 @@ TranslatedCore::translate(u32 start_idx)
                   if (inst.op == Opcode::JAL)
                       u.imm = pc + 4; // link value, folded
                   if (prog_.validTextAddr(t)) {
-                      u.kind = inst.op == Opcode::J ? kJInlineKind
-                                                    : kJalInlineKind;
+                      kind = inst.op == Opcode::J ? kJInlineKind
+                                                  : kJalInlineKind;
                       u.aux = t;
                       next_idx = (t - Program::kTextBase) >> 2;
                   } else {
@@ -388,7 +338,7 @@ TranslatedCore::translate(u32 start_idx)
             break;
         }
 
-        u.handler = labels_ ? labels_[u.kind] : nullptr;
+        u.handler = labels_[kind];
         b.code.push_back(u);
         idx = next_idx;
         if (open
@@ -397,13 +347,12 @@ TranslatedCore::translate(u32 start_idx)
             // Close capped / text-end blocks with a budget-free
             // transfer to wherever decoding would continue.  An
             // off-text fall-through target halts at entry, exactly
-            // like the interpreter's fetch check.
+            // like functionalStep()'s fetch check.
             MicroOp g{};
-            g.kind = kGotoKind;
             g.rd = static_cast<u8>(kNumLogRegs);
             g.aux = addExit(
                 &b, Program::kTextBase + static_cast<Addr>(idx) * 4);
-            g.handler = labels_ ? labels_[g.kind] : nullptr;
+            g.handler = labels_[kGotoKind];
             b.code.push_back(g);
             open = false;
         }
@@ -453,26 +402,15 @@ TranslatedCore::writePage(MainMemory &mem, Addr ea)
 
 // ---- execution ---------------------------------------------------------
 
-#if (defined(__GNUC__) || defined(__clang__)) \
-    && !defined(DMT_FF_SWITCH_DISPATCH)
-#define DMT_FF_COMPUTED_GOTO 1
-#else
-#define DMT_FF_COMPUTED_GOTO 0
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "translated_core.cc needs computed goto (labels as values)"
 #endif
 
-#if DMT_FF_COMPUTED_GOTO
 #define OP(name) L_##name:
 #define OP_SYNTH_GOTO L_GOTO:
 #define OP_SYNTH_J_INLINE L_J_INLINE:
 #define OP_SYNTH_JAL_INLINE L_JAL_INLINE:
 #define DISPATCH() goto *up->handler
-#else
-#define OP(name) case opKind(Opcode::name):
-#define OP_SYNTH_GOTO case kGotoKind:
-#define OP_SYNTH_J_INLINE case kJInlineKind:
-#define OP_SYNTH_JAL_INLINE case kJalInlineKind:
-#define DISPATCH() goto dispatch_top
-#endif
 
 /** Enter a cached block by slot index (lookup / resolve paths).  LRU
  *  touches happen only in lookupOrTranslate, keeping transfers free of
@@ -489,14 +427,8 @@ TranslatedCore::writePage(MainMemory &mem, Addr ea)
 /** Dispatch into a block whose first-handler label was cached at
  *  chain-install time: the indirect jump's target comes from one load
  *  of `e` instead of the dependent pair code → code->handler, so a
- *  host-mispredicted transfer redirects one load-latency sooner.  The
- *  switch dispatcher has no label addresses; it re-derives the case
- *  from up->kind as always. */
-#if DMT_FF_COMPUTED_GOTO
+ *  host-mispredicted transfer redirects one load-latency sooner. */
 #define DISPATCH_ENTRY(e) goto *(e)
-#else
-#define DISPATCH_ENTRY(e) DISPATCH()
-#endif
 
 /** Enter a block through a chained exit and dispatch: four loads off
  *  one Exit and an indirect jump, no table indexing and no liveness
@@ -701,7 +633,6 @@ TranslatedCore::run(ArchState &state, MainMemory &mem, u64 max_instr,
     u64 n_chain_hits = 0, n_chain_misses = 0;
     u64 n_ind_hits = 0, n_ind_misses = 0;
 
-#if DMT_FF_COMPUTED_GOTO
     // One entry per Opcode in declaration order (anchored by the
     // static_asserts above) plus the synthetic kinds.  Exported to
     // translate() through labels_: micro-ops carry their handler
@@ -722,7 +653,6 @@ TranslatedCore::run(ArchState &state, MainMemory &mem, u64 max_instr,
     };
     static_assert(sizeof(kLabels) / sizeof(kLabels[0]) == kNumKinds);
     labels_ = kLabels;
-#endif
 
     // Loop-top fetch check, after the budget check by construction:
     // every path here either has budget left or exited already.
@@ -738,11 +668,6 @@ TranslatedCore::run(ArchState &state, MainMemory &mem, u64 max_instr,
         ENTER_SLOT(slot);
     }
     DISPATCH();
-
-#if !DMT_FF_COMPUTED_GOTO
-dispatch_top:
-    switch (up->kind) {
-#endif
 
     OP(ADD) regs[up->rd] = regs[up->rs] + regs[up->rt]; NEXT();
     OP(SUB) regs[up->rd] = regs[up->rs] - regs[up->rt]; NEXT();
@@ -943,7 +868,7 @@ dispatch_top:
 
     OP(NOP) NEXT();
     OP(HALT)
-    --remaining; // HALT consumes budget, like the interpreter
+    --remaining; // HALT consumes budget, like functionalStep()
     halted = true;
     final_pc = up->aux; // aux = the HALT's own pc (pc does not advance)
     goto done;
@@ -969,14 +894,6 @@ dispatch_top:
     // Inlined call: write the link value, keep decoding sequentially.
     regs[up->rd] = up->imm;
     NEXT_JUMP();
-
-#if !DMT_FF_COMPUTED_GOTO
-      default:
-        break;
-    }
-    panic("translated dispatch on unknown kind %u",
-          static_cast<unsigned>(up->kind));
-#endif
 
 chain_miss:
     ++n_chain_misses;

@@ -14,7 +14,6 @@
 #include "common/env.hh"
 #include "exp/runner.hh"
 #include "exp/sampled.hh"
-#include "sim/translated_core.hh"
 #include "workloads/generator.hh"
 #include "workloads/workloads.hh"
 
@@ -137,64 +136,6 @@ TEST(BenchRunLengthDeath, TrailingGarbageIsFatal)
     setenv("DMT_BENCH_INSTR", "60000x", 1);
     EXPECT_DEATH(benchRunLength(), "DMT_BENCH_INSTR");
     unsetenv("DMT_BENCH_INSTR");
-}
-
-TEST(FfMode, ParsesStrictly)
-{
-    FfMode m = FfMode::Interp;
-    EXPECT_TRUE(parseFfMode("interp", &m));
-    EXPECT_EQ(m, FfMode::Interp);
-    EXPECT_TRUE(parseFfMode("translated", &m));
-    EXPECT_EQ(m, FfMode::Translated);
-    EXPECT_TRUE(parseFfMode("  translated  ", &m))
-        << "surrounding whitespace ok";
-    EXPECT_FALSE(parseFfMode("jit", &m));
-    EXPECT_FALSE(parseFfMode("Translated", &m)) << "case-sensitive";
-    EXPECT_FALSE(parseFfMode("", &m));
-    EXPECT_STREQ(ffModeName(FfMode::Interp), "interp");
-    EXPECT_STREQ(ffModeName(FfMode::Translated), "translated");
-}
-
-TEST(FfMode, EnvSelectsEngine)
-{
-    unsetenv("DMT_FF_MODE");
-    EXPECT_EQ(ffModeFromEnv(), FfMode::Translated)
-        << "unset defaults to the translated engine";
-    setenv("DMT_FF_MODE", "", 1);
-    EXPECT_EQ(ffModeFromEnv(), FfMode::Translated);
-    setenv("DMT_FF_MODE", "interp", 1);
-    EXPECT_EQ(ffModeFromEnv(), FfMode::Interp);
-    setenv("DMT_FF_MODE", "translated", 1);
-    EXPECT_EQ(ffModeFromEnv(), FfMode::Translated);
-    unsetenv("DMT_FF_MODE");
-}
-
-TEST(FfModeDeath, UnknownModeIsFatal)
-{
-    setenv("DMT_FF_MODE", "fast", 1);
-    EXPECT_DEATH(ffModeFromEnv(), "DMT_FF_MODE");
-    unsetenv("DMT_FF_MODE");
-}
-
-TEST(FfCache, ChecksItsKnob)
-{
-    unsetenv("DMT_FF_CACHE");
-    EXPECT_EQ(ffCacheBlocksFromEnv(),
-              TranslatedCore::kDefaultCacheBlocks);
-    setenv("DMT_FF_CACHE", "16", 1);
-    EXPECT_EQ(ffCacheBlocksFromEnv(), 16u);
-    unsetenv("DMT_FF_CACHE");
-}
-
-TEST(FfCacheDeath, GarbageAndRangeAreFatal)
-{
-    setenv("DMT_FF_CACHE", "8k", 1);
-    EXPECT_DEATH(ffCacheBlocksFromEnv(), "DMT_FF_CACHE");
-    setenv("DMT_FF_CACHE", "0", 1);
-    EXPECT_DEATH(ffCacheBlocksFromEnv(), "out of range");
-    setenv("DMT_FF_CACHE", "2097152", 1);
-    EXPECT_DEATH(ffCacheBlocksFromEnv(), "out of range");
-    unsetenv("DMT_FF_CACHE");
 }
 
 // ---------------------------------------------------------------------

@@ -207,16 +207,44 @@ TEST(Functional, SumLoopClosedForm)
     EXPECT_EQ(st.output[0], 4950u);
 }
 
-TEST(Functional, StepCountBound)
+/** runFunctional() from @p p's entry under @p max_steps. */
+u64
+runFresh(const Program &p, u64 max_steps)
 {
-    // Overrunning the step budget throws (PR 2 containment policy): a
-    // sweep cell with a runaway prefix fails as a cell, not a process.
-    const Program p = mkSumLoop(10);
     ArchState st;
     MainMemory mem;
     st.reset(p);
     mem.loadProgram(p);
-    EXPECT_THROW(runFunctional(st, mem, p, 5), SimError);
+    return runFunctional(st, mem, p, max_steps);
+}
+
+TEST(Functional, StepCountBound)
+{
+    // Overrunning the step budget throws (PR 2 containment policy): a
+    // sweep cell with a runaway prefix fails as a cell, not a process.
+    EXPECT_THROW(runFresh(mkSumLoop(10), 5), SimError);
+
+    // The bound is inclusive: a program that halts on exactly its
+    // max_steps-th instruction completes, one step less throws.
+    AsmBuilder b;
+    b.addi(t0, zero, 1);
+    b.addi(t1, zero, 2);
+    b.add(t2, t0, t1);
+    b.halt();
+    const Program p = b.finish();
+    EXPECT_EQ(runFresh(p, 100), 4u);
+    EXPECT_EQ(runFresh(p, 4), 4u);
+    EXPECT_THROW(runFresh(p, 3), SimError);
+
+    // Falling off the text segment halts without executing anything:
+    // the fetch that halts is neither counted nor held to the bound.
+    AsmBuilder f;
+    f.addi(t0, zero, 1);
+    f.addi(t1, zero, 2);
+    const Program off = f.finish();
+    EXPECT_EQ(runFresh(off, 100), 2u);
+    EXPECT_EQ(runFresh(off, 2), 2u);
+    EXPECT_THROW(runFresh(off, 1), SimError);
 }
 
 TEST(Checker, AcceptsCorrectStream)

@@ -1,11 +1,11 @@
 /**
  * @file
  * Phase-aware sampling: BBV collection must be a pure function of the
- * architectural instruction stream (bit-identical across both
- * fast-forward engines and any run() chunking), seeded k-means must be
+ * architectural instruction stream (bit-identical to a functionalStep()
+ * reference and across any run() chunking), seeded k-means must be
  * reproducible and well-defined on degenerate inputs, the phase-sampled
- * pipeline must be deterministic across cache states and engines and
- * must agree with full-detail CPI, and a checked-in signature
+ * pipeline must be deterministic across cache states and must agree
+ * with full-detail CPI, and a checked-in signature
  * (tests/golden/phase_go.json, regenerated with DMT_UPDATE_GOLDEN=1)
  * pins the whole thing.
  */
@@ -15,6 +15,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -27,7 +28,7 @@
 #include "exp/runner.hh"
 #include "exp/sampled.hh"
 #include "sim/bbv.hh"
-#include "sim/translated_core.hh"
+#include "step_reference.hh"
 #include "uarch/config.hh"
 #include "workloads/workloads.hh"
 
@@ -47,8 +48,8 @@ const struct EnvSanitizer
               "DMT_TRACE", "DMT_TRACE_FILE", "DMT_TRACE_COUNTERS_FILE",
               "DMT_TRACE_SAMPLE", "DMT_TRACE_RING", "DMT_WATCHDOG",
               "DMT_AUDIT", "DMT_BENCH_INSTR", "DMT_SAMPLE",
-              "DMT_CKPT_DIR", "DMT_FF_MODE", "DMT_FF_CACHE",
-              "DMT_PHASE_K", "DMT_PHASE_DIMS", "DMT_PHASE_SEED"})
+              "DMT_CKPT_DIR", "DMT_PHASE_K", "DMT_PHASE_DIMS",
+              "DMT_PHASE_SEED"})
             unsetenv(v);
     }
 } env_sanitizer;
@@ -143,23 +144,35 @@ TEST(Bbv, CrossEngineBitIdentity)
     constexpr u64 kInterval = 10000;
     constexpr u64 kBudget = 200000;
 
-    u64 cov_t = 0, cov_i = 0;
-    bool done_t = false, done_i = false;
-    const std::vector<IntervalBbv> t = collectBbvs(
-        prog, kInterval, kBudget, FfMode::Translated, &cov_t, &done_t);
-    const std::vector<IntervalBbv> i = collectBbvs(
-        prog, kInterval, kBudget, FfMode::Interp, &cov_i, &done_i);
+    u64 cov_t = 0;
+    bool done_t = false;
+    const std::vector<IntervalBbv> t =
+        collectBbvs(prog, kInterval, kBudget, &cov_t, &done_t);
 
-    EXPECT_EQ(cov_t, cov_i);
-    EXPECT_EQ(done_t, done_i);
-    ASSERT_EQ(t.size(), i.size());
+    // The same profile from the functionalStep() reference, fed in
+    // uneven chunks so budget stops land mid-region.
+    StepReference ref(prog);
+    BbvCollector bbv(kInterval, prog.text.size(), prog.entry);
+    static constexpr u64 kChunks[] = {1, 999, 4096, 17, 65536};
+    for (size_t c = 0; ref.instrCount() < kBudget && !ref.halted();
+         ++c) {
+        const u64 chunk = kChunks[c % (sizeof(kChunks)
+                                       / sizeof(kChunks[0]))];
+        ref.run(std::min(chunk, kBudget - ref.instrCount()), &bbv);
+    }
+    bbv.finish();
+    const std::vector<IntervalBbv> r = bbv.takeIntervals();
+
+    EXPECT_EQ(cov_t, ref.instrCount());
+    EXPECT_EQ(done_t, ref.halted());
+    ASSERT_EQ(t.size(), r.size());
     for (size_t n = 0; n < t.size(); ++n)
-        EXPECT_TRUE(t[n] == i[n]) << "interval " << n
-                                  << " differs between engines";
+        EXPECT_TRUE(t[n] == r[n]) << "interval " << n
+                                  << " differs from the reference";
 
-    // Reruns on the same engine are bit-identical too.
-    const std::vector<IntervalBbv> t2 = collectBbvs(
-        prog, kInterval, kBudget, FfMode::Translated);
+    // Reruns are bit-identical too.
+    const std::vector<IntervalBbv> t2 =
+        collectBbvs(prog, kInterval, kBudget);
     EXPECT_TRUE(t == t2);
 }
 
@@ -170,8 +183,8 @@ TEST(Bbv, IntervalsPartitionTheStream)
     // the last must be exactly full, and the totals must tile the
     // covered stream with no gaps or double counting.
     u64 covered = 0;
-    const std::vector<IntervalBbv> bbvs = collectBbvs(
-        prog, 7321, 123457, FfMode::Translated, &covered);
+    const std::vector<IntervalBbv> bbvs =
+        collectBbvs(prog, 7321, 123457, &covered);
     ASSERT_FALSE(bbvs.empty());
     u64 sum = 0;
     for (size_t n = 0; n < bbvs.size(); ++n) {
@@ -208,7 +221,7 @@ TEST(PhaseCluster, SeededRunsAreReproducible)
 {
     const Program prog = buildWorkload("go");
     const std::vector<IntervalBbv> bbvs =
-        collectBbvs(prog, 10000, 200000, FfMode::Translated);
+        collectBbvs(prog, 10000, 200000);
     ASSERT_GE(bbvs.size(), 10u);
 
     const PhaseAnalysis a = clusterPhases(bbvs, params(10000));
@@ -227,7 +240,7 @@ TEST(PhaseCluster, ResultIsWellFormedForAnySeed)
 {
     const Program prog = buildWorkload("go");
     const std::vector<IntervalBbv> bbvs =
-        collectBbvs(prog, 10000, 200000, FfMode::Translated);
+        collectBbvs(prog, 10000, 200000);
 
     for (const u64 seed : {u64{7}, u64{42}, u64{12345}}) {
         const PhaseAnalysis pa =
@@ -335,16 +348,6 @@ TEST(PhaseSampled, DeterministicAcrossCacheStatesAndEngines)
     EXPECT_EQ(cold.sampling.phase_intervals, 20u);
     EXPECT_GT(cold.sampling.covered, 0u);
     EXPECT_LT(cold.sampling.functional_instr, cold.sampling.covered);
-
-    // The interp fast-forward engine must reproduce the same bytes:
-    // BBVs, clustering, window placement and measured windows are all
-    // engine-independent.
-    setenv("DMT_FF_MODE", "interp", 1);
-    clearAllCaches();
-    const RunResult interp = runWorkloadSampled(cfg, "go", p, kBudget);
-    unsetenv("DMT_FF_MODE");
-    EXPECT_EQ(cold.jsonString(), interp.jsonString())
-        << "phase-sampled results must not depend on DMT_FF_MODE";
     clearAllCaches();
 }
 

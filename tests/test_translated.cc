@@ -2,13 +2,13 @@
  * @file
  * Differential exactness tests for the superblock-translated
  * fast-forward engine (sim/translated_core.hh).  The contract under
- * test: DMT_FF_MODE=translated produces architectural state
- * bit-identical to the batched interpreter — registers, PC, halt flag,
- * OUT stream (exact vector, count and hash), sparse memory pages and
- * executed-instruction count — for every conformance scenario, for
- * arbitrary mid-block budget stops, across checkpoint capture, across
- * tiny-cache eviction churn, and through the whole sampled-run
- * pipeline (byte-identical canonical RunResult JSON).
+ * test: FunctionalCore produces architectural state bit-identical to
+ * stepping functionalStep() — the golden checker's oracle, driven
+ * here through the StepReference interpreter (tests/step_reference.hh)
+ * — in registers, PC, halt flag, OUT stream (exact vector, count and
+ * hash), sparse memory pages and executed-instruction count, for every
+ * conformance scenario, for arbitrary mid-block budget stops, across
+ * checkpoint capture and across tiny-cache eviction churn.
  *
  * Scenario count mirrors tests/test_conformance.cc: all generator
  * families x DMT_CONF_SEEDS seeds (default 15; CI smoke uses 2).
@@ -23,12 +23,15 @@
 #include <string>
 #include <vector>
 
+#include "casm/builder.hh"
 #include "common/env.hh"
 #include "common/rng.hh"
 #include "exp/sampled.hh"
 #include "sim/checkpoint.hh"
+#include "sim/functional.hh"
 #include "sim/functional_core.hh"
 #include "sim/translated_core.hh"
+#include "step_reference.hh"
 #include "workloads/generator.hh"
 #include "workloads/workloads.hh"
 
@@ -48,7 +51,7 @@ const struct EnvSanitizer
               "DMT_TRACE", "DMT_TRACE_FILE", "DMT_TRACE_COUNTERS_FILE",
               "DMT_TRACE_SAMPLE", "DMT_TRACE_RING", "DMT_WATCHDOG",
               "DMT_AUDIT", "DMT_BENCH_INSTR", "DMT_SAMPLE",
-              "DMT_CKPT_DIR", "DMT_FF_MODE", "DMT_FF_CACHE"})
+              "DMT_CKPT_DIR"})
             unsetenv(v);
     }
 } env_sanitizer;
@@ -87,24 +90,26 @@ scenarioParams(int family_idx, u64 seed)
 /** Safety cap: every scenario program retires far less than this. */
 constexpr u64 kRunCap = u64{1} << 24;
 
-/** Every observable architectural fact the two engines must agree on. */
+/** Every observable architectural fact the engine must share with
+ *  the functionalStep() reference. */
 void
-expectSameState(const FunctionalCore &interp,
-                const FunctionalCore &xlat, const std::string &ctx)
+expectSameState(const StepReference &ref, const FunctionalCore &xlat,
+                const std::string &ctx)
 {
-    EXPECT_EQ(interp.instrCount(), xlat.instrCount()) << ctx;
-    EXPECT_EQ(interp.state().pc, xlat.state().pc) << ctx;
-    EXPECT_EQ(interp.halted(), xlat.halted()) << ctx;
-    EXPECT_EQ(interp.state().regs, xlat.state().regs) << ctx;
-    EXPECT_EQ(interp.state().output, xlat.state().output) << ctx;
-    EXPECT_EQ(interp.state().out_count, xlat.state().out_count) << ctx;
-    EXPECT_EQ(interp.state().out_hash, xlat.state().out_hash) << ctx;
-    EXPECT_TRUE(interp.memory() == xlat.memory()) << ctx;
+    EXPECT_EQ(ref.instrCount(), xlat.instrCount()) << ctx;
+    EXPECT_EQ(ref.state().pc, xlat.state().pc) << ctx;
+    EXPECT_EQ(ref.halted(), xlat.halted()) << ctx;
+    EXPECT_EQ(ref.state().regs, xlat.state().regs) << ctx;
+    EXPECT_EQ(ref.state().output, xlat.state().output) << ctx;
+    EXPECT_EQ(ref.state().out_count, xlat.state().out_count) << ctx;
+    EXPECT_EQ(ref.state().out_hash, xlat.state().out_hash) << ctx;
+    EXPECT_TRUE(ref.memory() == xlat.memory()) << ctx;
 }
 
-/** Run @p core to completion (HALT) under the safety cap. */
+/** Run @p core (engine or reference) to HALT under the safety cap. */
+template <typename Core>
 void
-runToHalt(FunctionalCore &core, const std::string &ctx)
+runToHalt(Core &core, const std::string &ctx)
 {
     u64 total = 0;
     while (!core.halted() && total < kRunCap)
@@ -118,6 +123,8 @@ class TranslatedConformance : public ::testing::TestWithParam<int>
 {
 };
 
+// The interpreter is StepReference: functionalStep(), one instruction
+// at a time.
 TEST_P(TranslatedConformance, BitIdenticalToInterpreter)
 {
     const int family_idx = GetParam() / seedsPerFamily();
@@ -128,33 +135,31 @@ TEST_P(TranslatedConformance, BitIdenticalToInterpreter)
     const Program prog = buildWorkload(spec);
 
     // Exact OUT vectors (not just the digest): stream_output off.
-    FunctionalCore interp(prog, /*stream_output=*/false);
-    interp.setMode(FfMode::Interp);
+    StepReference ref(prog);
     FunctionalCore xlat(prog, /*stream_output=*/false);
-    xlat.setMode(FfMode::Translated);
 
     // Phase 1: chunked lock-step over a prefix, cycling through chunk
     // sizes (including single-instruction steps) so budget stops land
     // mid-block, mid-loop and on every kind of control transfer.
     static constexpr u64 kChunks[] = {1, 1, 2, 3, 5, 7, 13, 64};
     size_t ci = 0;
-    while (!interp.halted() && interp.instrCount() < 1500) {
+    while (!ref.halted() && ref.instrCount() < 1500) {
         const u64 chunk = kChunks[ci++ % (sizeof(kChunks)
                                           / sizeof(kChunks[0]))];
-        const u64 di = interp.run(chunk);
+        const u64 dr = ref.run(chunk);
         const u64 dx = xlat.run(chunk);
-        ASSERT_EQ(di, dx) << spec << " @" << interp.instrCount();
-        ASSERT_EQ(interp.state().pc, xlat.state().pc)
-            << spec << " @" << interp.instrCount();
-        if (di == 0)
+        ASSERT_EQ(dr, dx) << spec << " @" << ref.instrCount();
+        ASSERT_EQ(ref.state().pc, xlat.state().pc)
+            << spec << " @" << ref.instrCount();
+        if (dr == 0)
             break;
     }
-    expectSameState(interp, xlat, spec + " (chunked prefix)");
+    expectSameState(ref, xlat, spec + " (chunked prefix)");
 
     // Phase 2: run both to completion and compare the full final state.
-    runToHalt(interp, spec);
+    runToHalt(ref, spec);
     runToHalt(xlat, spec);
-    expectSameState(interp, xlat, spec + " (completion)");
+    expectSameState(ref, xlat, spec + " (completion)");
 
     // A halted core must stay halted and consume nothing.
     EXPECT_EQ(xlat.run(10), 0u) << spec;
@@ -182,13 +187,11 @@ TEST(Translated, SuiteKernelsBitIdentical)
     for (const char *name : {"go", "m88ksim", "compress", "li",
                              "ijpeg", "perl", "vortex", "gcc"}) {
         const Program prog = buildWorkload(name);
-        FunctionalCore interp(prog, /*stream_output=*/false);
-        interp.setMode(FfMode::Interp);
+        StepReference ref(prog);
         FunctionalCore xlat(prog, /*stream_output=*/false);
-        xlat.setMode(FfMode::Translated);
-        runToHalt(interp, name);
+        runToHalt(ref, name);
         runToHalt(xlat, name);
-        expectSameState(interp, xlat, name);
+        expectSameState(ref, xlat, name);
     }
 }
 
@@ -199,15 +202,13 @@ TEST(Translated, TinyCacheEvictsAndRetranslatesExactly)
     // A 2-block cache on a call-tree workload forces constant eviction
     // and retranslation churn; results must not change.
     const Program prog = buildWorkload("gen:calltree:7");
-    FunctionalCore interp(prog, /*stream_output=*/false);
-    interp.setMode(FfMode::Interp);
+    StepReference ref(prog);
     FunctionalCore xlat(prog, /*stream_output=*/false);
-    xlat.setMode(FfMode::Translated);
     xlat.setCacheBound(2);
 
-    runToHalt(interp, "calltree interp");
+    runToHalt(ref, "calltree reference");
     runToHalt(xlat, "calltree tiny cache");
-    expectSameState(interp, xlat, "tiny-cache eviction churn");
+    expectSameState(ref, xlat, "tiny-cache eviction churn");
 
     const TranslationStats xs = xlat.translationStats();
     EXPECT_GT(xs.evictions, 0u);
@@ -219,14 +220,12 @@ TEST(Translated, CacheBoundOneStillExact)
 {
     // The degenerate bound: every block transfer is a miss.
     const Program prog = buildWorkload("gen:branchy:3:trips=40");
-    FunctionalCore interp(prog, /*stream_output=*/false);
-    interp.setMode(FfMode::Interp);
+    StepReference ref(prog);
     FunctionalCore xlat(prog, /*stream_output=*/false);
-    xlat.setMode(FfMode::Translated);
     xlat.setCacheBound(1);
-    runToHalt(interp, "branchy interp");
+    runToHalt(ref, "branchy reference");
     runToHalt(xlat, "branchy bound-1");
-    expectSameState(interp, xlat, "cache bound 1");
+    expectSameState(ref, xlat, "cache bound 1");
 }
 
 TEST(Translated, IndirectStressReturnsAndPtrchase)
@@ -235,13 +234,11 @@ TEST(Translated, IndirectStressReturnsAndPtrchase)
     // predictor's hard case (one site, many return targets).
     {
         const Program prog = buildWorkload("gen:calltree:13:depth=5");
-        FunctionalCore interp(prog, /*stream_output=*/false);
-        interp.setMode(FfMode::Interp);
+        StepReference ref(prog);
         FunctionalCore xlat(prog, /*stream_output=*/false);
-        xlat.setMode(FfMode::Translated);
-        runToHalt(interp, "calltree interp");
+        runToHalt(ref, "calltree reference");
         runToHalt(xlat, "calltree translated");
-        expectSameState(interp, xlat, "calltree indirect stress");
+        expectSameState(ref, xlat, "calltree indirect stress");
         const TranslationStats xs = xlat.translationStats();
         EXPECT_GT(xs.indirect_hits + xs.indirect_misses, 0u);
     }
@@ -249,13 +246,11 @@ TEST(Translated, IndirectStressReturnsAndPtrchase)
     {
         const Program prog =
             buildWorkload("gen:ptrchase:11:trips=500:units=64");
-        FunctionalCore interp(prog, /*stream_output=*/false);
-        interp.setMode(FfMode::Interp);
+        StepReference ref(prog);
         FunctionalCore xlat(prog, /*stream_output=*/false);
-        xlat.setMode(FfMode::Translated);
-        runToHalt(interp, "ptrchase interp");
+        runToHalt(ref, "ptrchase reference");
         runToHalt(xlat, "ptrchase translated");
-        expectSameState(interp, xlat, "ptrchase data stress");
+        expectSameState(ref, xlat, "ptrchase data stress");
     }
 }
 
@@ -263,7 +258,6 @@ TEST(Translated, HotLoopChainsBlocks)
 {
     const Program prog = buildWorkload("gen:loopnest:5:trips=200");
     FunctionalCore xlat(prog, /*stream_output=*/false);
-    xlat.setMode(FfMode::Translated);
     runToHalt(xlat, "loopnest translated");
     const TranslationStats xs = xlat.translationStats();
     // Steady-state loops must run chained: far more hits than misses
@@ -276,10 +270,9 @@ TEST(Translated, InvalidateAllRetranslatesExactly)
 {
     const Program prog = buildWorkload("gen:loopnest:3:trips=50");
 
-    // Reference: uninterrupted interpreter run.
-    FunctionalCore interp(prog, /*stream_output=*/false);
-    interp.setMode(FfMode::Interp);
-    runToHalt(interp, "loopnest interp");
+    // Reference: uninterrupted functionalStep() run.
+    StepReference ref(prog);
+    runToHalt(ref, "loopnest reference");
 
     // Drive TranslatedCore directly and invalidate mid-run.
     ArchState state;
@@ -296,32 +289,34 @@ TEST(Translated, InvalidateAllRetranslatesExactly)
         executed += core.run(state, mem, kRunCap - executed);
     ASSERT_TRUE(state.halted);
 
-    EXPECT_EQ(executed, interp.instrCount());
-    EXPECT_EQ(state.pc, interp.state().pc);
-    EXPECT_EQ(state.regs, interp.state().regs);
-    EXPECT_EQ(state.output, interp.state().output);
-    EXPECT_TRUE(mem == interp.memory());
+    EXPECT_EQ(executed, ref.instrCount());
+    EXPECT_EQ(state.pc, ref.state().pc);
+    EXPECT_EQ(state.regs, ref.state().regs);
+    EXPECT_EQ(state.output, ref.state().output);
+    EXPECT_TRUE(mem == ref.memory());
 }
 
 // ---- checkpoint pipeline -----------------------------------------------
 
 TEST(Translated, CheckpointBytesIdenticalAcrossEngines)
 {
-    // Capture a checkpoint at the same position under both engines and
-    // demand the serialized files match byte for byte.
+    // A checkpoint captured after a translated run must serialize to
+    // the same bytes as one captured from a core restore()d from the
+    // functionalStep() reference at the same position.
     const Program prog = buildWorkload("compress");
     const u64 pos = 100000;
 
-    auto capture_at = [&](FfMode mode) {
-        FunctionalCore core(prog);
-        core.setMode(mode);
-        while (core.instrCount() < pos && !core.halted())
-            core.run(pos - core.instrCount());
-        EXPECT_EQ(core.instrCount(), pos);
-        return Checkpoint::capture(core);
-    };
-    const Checkpoint a = capture_at(FfMode::Interp);
-    const Checkpoint b = capture_at(FfMode::Translated);
+    FunctionalCore xlat(prog);
+    while (xlat.instrCount() < pos && !xlat.halted())
+        xlat.run(pos - xlat.instrCount());
+    ASSERT_EQ(xlat.instrCount(), pos);
+    const Checkpoint a = Checkpoint::capture(xlat);
+
+    StepReference ref(prog, /*stream_output=*/true);
+    ASSERT_EQ(ref.run(pos), pos);
+    FunctionalCore restored(prog);
+    restored.restore(ref.state(), ref.memory(), ref.instrCount());
+    const Checkpoint b = Checkpoint::capture(restored);
     EXPECT_EQ(a.instr_count, b.instr_count);
     EXPECT_EQ(a.prog_hash, b.prog_hash);
 
@@ -331,8 +326,8 @@ TEST(Translated, CheckpointBytesIdenticalAcrossEngines)
         os << in.rdbuf();
         return os.str();
     };
-    const std::string pa = "xckpt_interp.ckpt";
-    const std::string pb = "xckpt_translated.ckpt";
+    const std::string pa = "xckpt_translated.ckpt";
+    const std::string pb = "xckpt_reference.ckpt";
     ASSERT_TRUE(a.save(pa));
     ASSERT_TRUE(b.save(pb));
     EXPECT_EQ(file_bytes(pa), file_bytes(pb));
@@ -344,54 +339,79 @@ TEST(Translated, CheckpointRestoreMidBlockResumesExactly)
 {
     // Restore into a fresh core at an arbitrary (mid-block) position
     // and continue translated; the end state must match a straight
-    // interpreter run.
+    // functionalStep() run.
     const Program prog = buildWorkload("gen:branchy:9:trips=60");
-    FunctionalCore interp(prog, /*stream_output=*/false);
-    interp.setMode(FfMode::Interp);
-    runToHalt(interp, "branchy interp");
+    StepReference ref(prog);
+    runToHalt(ref, "branchy reference");
 
     FunctionalCore ff(prog, /*stream_output=*/false);
-    ff.setMode(FfMode::Translated);
     ff.run(777); // deliberately not a block boundary
     FunctionalCore resumed(prog, /*stream_output=*/false);
-    resumed.setMode(FfMode::Translated);
     resumed.restore(ff.state(), ff.memory(), ff.instrCount());
     runToHalt(resumed, "branchy resumed");
-    expectSameState(interp, resumed, "mid-block checkpoint resume");
+    expectSameState(ref, resumed, "mid-block checkpoint resume");
 }
 
 // ---- sampled pipeline --------------------------------------------------
 
 TEST(Translated, SampledRunsByteIdenticalAcrossEngines)
 {
+    // Sampled fast-forward runs through the translated engine, and the
+    // run's telemetry says so.  (Byte identity of the results against
+    // the step oracle is the checkpoint test above; the end-to-end
+    // bytes are pinned by tests/golden/sampled_go.json.)
     SampleParams p;
     p.skip = 40000;
     p.warm = 400;
     p.measure = 1200;
     p.max_intervals = 3;
-    const SimConfig cfg = SimConfig::dmt(6, 2);
 
-    setenv("DMT_FF_MODE", "interp", 1);
-    clearCheckpointCache(); // cursor re-reads DMT_FF_MODE on rebuild
-    const RunResult ri = runWorkloadSampled(cfg, "go", p);
-
-    setenv("DMT_FF_MODE", "translated", 1);
     clearCheckpointCache();
-    const RunResult rx = runWorkloadSampled(cfg, "go", p);
-
-    unsetenv("DMT_FF_MODE");
+    const RunResult r = runWorkloadSampled(SimConfig::dmt(6, 2), "go", p);
     clearCheckpointCache();
 
-    // Canonical JSON (timing excluded) must match byte for byte —
-    // same windows, same CPI, same stat blocks.
-    EXPECT_EQ(ri.jsonString(), rx.jsonString());
-    EXPECT_EQ(ri.sampling.intervals, 3u);
-    // The telemetry (timing-only fields) records which engine ran.
-    EXPECT_EQ(ri.sampling.ff_mode, "interp");
-    EXPECT_EQ(rx.sampling.ff_mode, "translated");
-    EXPECT_EQ(ri.sampling.ff_blocks_translated, 0u);
-    EXPECT_GT(rx.sampling.ff_blocks_translated, 0u);
-    EXPECT_GT(rx.sampling.ff_chain_hits, 0u);
+    EXPECT_EQ(r.sampling.intervals, 3u);
+    EXPECT_GT(r.sampling.ff_blocks_translated, 0u);
+    EXPECT_GT(r.sampling.ff_chain_hits, 0u);
+}
+
+// ---- instruction counting ----------------------------------------------
+
+TEST(Translated, FallOffTextCountsLikeTheReference)
+{
+    // A program with no HALT halts by fetching past its text.  That
+    // fetch executes nothing: runFunctional(), the engine and the
+    // reference all count exactly the two instructions.
+    AsmBuilder b;
+    b.addi(reg::t0, reg::zero, 1);
+    b.addi(reg::t1, reg::zero, 2);
+    const Program prog = b.finish();
+
+    ArchState st;
+    MainMemory mem;
+    st.reset(prog);
+    mem.loadProgram(prog);
+    EXPECT_EQ(runFunctional(st, mem, prog), 2u);
+
+    FunctionalCore xlat(prog, /*stream_output=*/false);
+    EXPECT_EQ(xlat.run(100), 2u);
+    EXPECT_TRUE(xlat.halted());
+    StepReference ref(prog);
+    EXPECT_EQ(ref.run(100), 2u);
+    expectSameState(ref, xlat, "fall-off halt");
+
+    // With the budget spent on the last instruction, the halting fetch
+    // happens on the next run() and consumes nothing.
+    FunctionalCore xlat2(prog, /*stream_output=*/false);
+    StepReference ref2(prog);
+    EXPECT_EQ(xlat2.run(2), 2u);
+    EXPECT_EQ(ref2.run(2), 2u);
+    EXPECT_FALSE(xlat2.halted());
+    EXPECT_FALSE(ref2.halted());
+    EXPECT_EQ(xlat2.run(5), 0u);
+    EXPECT_EQ(ref2.run(5), 0u);
+    expectSameState(ref2, xlat2, "fall-off halt after a budget stop");
+    EXPECT_TRUE(xlat2.halted());
 }
 
 } // namespace
