@@ -18,20 +18,45 @@ namespace dmt
 
 // ---- BBV collection ----------------------------------------------------
 
+namespace
+{
+
+/** Budget charge of one anchor: its memory pages, at least one, so a
+ *  program that touches no memory still takes a bounded number. */
+u64
+anchorBytes(const MainMemory &mem)
+{
+    return std::max<u64>(mem.numPages(), 1) * MainMemory::kPageSize;
+}
+
+} // namespace
+
 std::vector<IntervalBbv>
 collectBbvs(const Program &prog, u64 interval_len, u64 budget,
             u64 *covered_out, bool *completed_out)
+{
+    return collectBbvsAnchored(prog, interval_len, budget, nullptr,
+                               covered_out, completed_out);
+}
+
+std::vector<IntervalBbv>
+collectBbvsAnchored(const Program &prog, u64 interval_len, u64 budget,
+                    std::vector<Checkpoint> *anchors, u64 *covered_out,
+                    bool *completed_out)
 {
     DMT_ASSERT(interval_len > 0, "BBV interval length must be > 0");
     FunctionalCore core(prog);
     BbvCollector bbv(interval_len, prog.text.size(), prog.entry);
     core.setBbv(&bbv);
+    if (anchors)
+        anchors->clear();
+    u64 stride = 1; // chunks between anchors
+    u64 held = 0;   // anchorBytes() summed over the live anchors
     // Chunked so an unbounded profile of a non-halting program is
     // still budget-driven by the caller; interval vectors are chunk
     // invariant by the sim/bbv.hh contract.
-    constexpr u64 kChunk = u64{1} << 22;
     while (!core.halted()) {
-        u64 step = kChunk;
+        u64 step = kProfileChunk;
         if (budget > 0) {
             const u64 left = budget - core.instrCount();
             if (left == 0)
@@ -40,6 +65,31 @@ collectBbvs(const Program &prog, u64 interval_len, u64 budget,
         }
         if (core.run(step) == 0)
             break;
+        const u64 pos = core.instrCount();
+        if (!anchors || core.halted() || pos % kProfileChunk != 0
+            || pos == budget) {
+            continue;
+        }
+        const u64 chunk = pos / kProfileChunk;
+        const u64 bytes = anchorBytes(core.memory());
+        if (chunk % stride != 0 || bytes > kAnchorPageBudget)
+            continue;
+        // Over budget: keep every other anchor (the multiples of the
+        // doubled stride) until this one fits or falls off the stride.
+        while (chunk % stride == 0 && held + bytes > kAnchorPageBudget) {
+            stride *= 2;
+            held = 0;
+            std::erase_if(*anchors, [&](const Checkpoint &a) {
+                if ((a.instr_count / kProfileChunk) % stride != 0)
+                    return true;
+                held += anchorBytes(a.mem);
+                return false;
+            });
+        }
+        if (chunk % stride == 0) {
+            anchors->push_back(Checkpoint::capture(core));
+            held += bytes;
+        }
     }
     core.setBbv(nullptr);
     bbv.finish();
@@ -398,7 +448,8 @@ u64 g_phase_builds = 0;
 
 std::shared_ptr<const PhaseAnalysis>
 phaseAnalysisFor(const std::string &workload,
-                 const PhaseParams &params, u64 budget)
+                 const PhaseParams &params, u64 budget,
+                 std::vector<Checkpoint> *anchors_out)
 {
     const std::string key = strprintf(
         "%s|%llu|%llu|%llu|%llu|%llu", workload.c_str(),
@@ -413,14 +464,16 @@ phaseAnalysisFor(const std::string &workload,
     std::shared_ptr<const PhaseAnalysis> &slot = g_phase[key];
     if (slot) {
         ++g_phase_hits;
+        if (anchors_out)
+            anchors_out->clear();
         return slot;
     }
     const Program prog = buildWorkload(workload);
     auto pa = std::make_shared<PhaseAnalysis>();
     u64 covered = 0;
     bool completed = false;
-    const std::vector<IntervalBbv> bbvs =
-        collectBbvs(prog, params.interval, budget, &covered, &completed);
+    const std::vector<IntervalBbv> bbvs = collectBbvsAnchored(
+        prog, params.interval, budget, anchors_out, &covered, &completed);
     *pa = clusterPhases(bbvs, params);
     pa->covered = covered;
     pa->completed = completed;

@@ -31,6 +31,7 @@
 
 #include "casm/program.hh"
 #include "sim/bbv.hh"
+#include "sim/checkpoint.hh"
 
 namespace dmt
 {
@@ -82,6 +83,29 @@ std::vector<IntervalBbv> collectBbvs(const Program &prog,
                                      u64 *covered_out = nullptr,
                                      bool *completed_out = nullptr);
 
+/** Instructions per profile chunk; anchors sit at chunk multiples. */
+constexpr u64 kProfileChunk = u64{1} << 22;
+
+/** Bound on the memory-page bytes one profile's live anchors hold
+ *  (each anchor charged at least one page). */
+constexpr u64 kAnchorPageBudget = u64{2} << 20;
+
+/**
+ * collectBbvs() that also leaves anchor checkpoints in @p anchors
+ * (replaced; ascending position), so a later checkpoint chain can
+ * start from the nearest earlier anchor instead of the entry.  One
+ * anchor is taken every `stride` chunk ends, stride starting at 1;
+ * whenever the anchors' pages would exceed kAnchorPageBudget, every
+ * other anchor is dropped and the stride doubles.  No anchor is taken
+ * at HALT, at the budget, in a program shorter than one chunk, or
+ * where the memory alone exceeds the budget.  The BBVs are identical
+ * to collectBbvs()'s.
+ */
+std::vector<IntervalBbv> collectBbvsAnchored(
+    const Program &prog, u64 interval_len, u64 budget,
+    std::vector<Checkpoint> *anchors, u64 *covered_out = nullptr,
+    bool *completed_out = nullptr);
+
 /**
  * Source-compatibility shims for perfbench/workloads.cc, whose
  * collectBbvs() call still names a fast-forward engine.  There is one
@@ -123,10 +147,15 @@ PhaseAnalysis clusterPhases(const std::vector<IntervalBbv> &bbvs,
  * Results are process-wide shared (immutable) and keyed by (workload,
  * params, budget), so sweep cells over the same workload pay for
  * profiling once — mirroring the sampled checkpoint cache.
+ *
+ * When this call builds the profile, @p anchors_out (optional)
+ * receives its anchors (collectBbvsAnchored()); on a cache hit it is
+ * left empty.  Anchors are never cached.
  */
 std::shared_ptr<const PhaseAnalysis>
 phaseAnalysisFor(const std::string &workload, const PhaseParams &params,
-                 u64 budget);
+                 u64 budget,
+                 std::vector<Checkpoint> *anchors_out = nullptr);
 
 /** Drop every cached phase analysis and zero the counters (test hook,
  *  companion to clearCheckpointCache()). */

@@ -54,6 +54,8 @@ SampleSummary::jsonOn(JsonWriter &w, bool include_timing) const
         w.key("ff_retranslations").value(ff_retranslations);
         w.key("ff_evictions").value(ff_evictions);
         w.key("ff_chain_hits").value(ff_chain_hits);
+        w.key("ff_instr").value(ff_instr);
+        w.key("ff_anchors").value(ff_anchors);
     }
     w.key("cpi_mean").value(cpi_mean);
     w.key("cpi_sd").value(cpi_sd);

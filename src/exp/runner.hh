@@ -84,6 +84,13 @@ struct SampleSummary
     u64 ff_retranslations = 0;
     u64 ff_evictions = 0;
     u64 ff_chain_hits = 0;
+    /** Instructions the checkpoint chain executed in this run (the
+     *  profile pass excluded; 0 when every checkpoint was cached) and
+     *  the anchor checkpoints the profile pass left it.  Host-side
+     *  work, excluded from the canonical JSON like the counters
+     *  above. */
+    u64 ff_instr = 0;
+    u64 ff_anchors = 0;
     /** Per-interval CPI statistics; ci95 = 1.96 * sd / sqrt(n).  In
      *  phase mode the mean is phase-weight weighted and sd/ci95 use
      *  the weighted spread over measured phases. */

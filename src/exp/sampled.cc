@@ -2,10 +2,12 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -234,23 +236,32 @@ ckptDir()
     return dir;
 }
 
+/** Host work of one run's checkpoint chain (timing-only telemetry). */
+struct ChainWork
+{
+    double wall_s = 0.0; ///< restoring and fast-forwarding
+    u64 instr = 0;       ///< instructions the cursor executed
+    TranslationStats xlat;
+};
+
 /**
- * Architectural checkpoint at exactly @p pos retired instructions.
- * Order of preference: in-memory cache, DMT_CKPT_DIR file, advancing
- * the functional cursor (rewinding it from the nearest earlier
- * checkpoint when a caller asks for a position behind it).
+ * Architectural checkpoint at exactly @p pos retired instructions;
+ * the caller holds e.m.  Order of preference: in-memory cache,
+ * DMT_CKPT_DIR file, advancing the functional cursor from the latest
+ * known state at or before @p pos — the cursor itself, a cached
+ * checkpoint or one of @p anchors (ascending position), whichever is
+ * furthest along, else the program entry.
  *
  * @return nullptr when the program HALTs at or before @p pos; then
- *         @p halt_pos_out receives the halt position.  @p ff_wall
- *         accumulates host seconds spent fast-forwarding and
- *         @p ff_stats the translation-cache activity of this call.
+ *         @p halt_pos_out receives the halt position.  @p work
+ *         accumulates the cursor's host time, instructions and
+ *         translation-cache activity.
  */
 std::shared_ptr<const Checkpoint>
 checkpointAt(WorkloadCkpts &e, const std::string &workload, u64 pos,
-             double *ff_wall, TranslationStats *ff_stats,
+             const std::vector<Checkpoint> &anchors, ChainWork *work,
              u64 *halt_pos_out)
 {
-    std::lock_guard<std::mutex> lock(e.m);
     if (pos >= e.halt_pos) {
         *halt_pos_out = e.halt_pos;
         return nullptr;
@@ -276,26 +287,40 @@ checkpointAt(WorkloadCkpts &e, const std::string &workload, u64 pos,
     }
 
     FunctionalCore &core = *e.cursor;
-    if (core.instrCount() > pos) {
-        // The cursor is past the request; restart it from the nearest
-        // earlier checkpoint (or the program entry).
-        auto best = e.by_pos.upper_bound(pos);
-        if (best != e.by_pos.begin()) {
-            --best;
-            const Checkpoint &from = *best->second;
-            core.restore(from.state, from.mem, from.instr_count);
-        } else {
-            core.reset();
+    u64 at = core.instrCount() <= pos ? core.instrCount() : 0;
+    const Checkpoint *from = nullptr;
+    auto consider = [&](const Checkpoint &ck) {
+        if (ck.instr_count > at) { // ties keep the cursor
+            at = ck.instr_count;
+            from = &ck;
         }
-    }
+    };
+    auto cached = e.by_pos.upper_bound(pos);
+    if (cached != e.by_pos.begin())
+        consider(*std::prev(cached)->second);
+    auto anchor = std::partition_point(
+        anchors.begin(), anchors.end(),
+        [&](const Checkpoint &a) { return a.instr_count <= pos; });
+    if (anchor != anchors.begin())
+        consider(*std::prev(anchor));
+
     const TranslationStats xs_before = core.translationStats();
     const auto t0 = std::chrono::steady_clock::now();
+    if (from) {
+        DMT_ASSERT(from->prog_hash == e.prog_hash,
+                   "checkpoint taken against another program");
+        core.restore(from->state, from->mem, from->instr_count);
+    } else if (core.instrCount() > pos) {
+        core.reset();
+    }
+    const u64 resumed_at = core.instrCount();
     while (core.instrCount() < pos && !core.halted())
         core.run(pos - core.instrCount());
-    *ff_wall += std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-    *ff_stats += core.translationStats() - xs_before;
+    work->wall_s += std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+    work->instr += core.instrCount() - resumed_at;
+    work->xlat += core.translationStats() - xs_before;
     if (core.halted()) {
         e.halt_pos = core.instrCount();
         *halt_pos_out = e.halt_pos;
@@ -310,6 +335,18 @@ checkpointAt(WorkloadCkpts &e, const std::string &workload, u64 pos,
     return ck;
 }
 
+/** Copy a run's chain telemetry into its sampling summary. */
+void
+recordChainWork(const ChainWork &work, SampleSummary *s)
+{
+    s->func_wall_s = work.wall_s;
+    s->ff_instr = work.instr;
+    s->ff_blocks_translated = work.xlat.blocks_translated;
+    s->ff_retranslations = work.xlat.retranslations;
+    s->ff_evictions = work.xlat.evictions;
+    s->ff_chain_hits = work.xlat.chain_hits;
+}
+
 } // namespace
 
 void
@@ -320,6 +357,19 @@ clearCheckpointCache()
     g_ckpt_mem_hits.store(0, std::memory_order_relaxed);
     g_ckpt_disk_hits.store(0, std::memory_order_relaxed);
     g_ckpt_builds.store(0, std::memory_order_relaxed);
+}
+
+std::shared_ptr<const Checkpoint>
+cachedCheckpoint(const std::string &workload, u64 pos)
+{
+    std::lock_guard<std::mutex> lock(g_cache_m);
+    const auto slot = g_cache.find(workload);
+    if (slot == g_cache.end())
+        return nullptr;
+    WorkloadCkpts &e = *slot->second;
+    std::lock_guard<std::mutex> entry_lock(e.m);
+    const auto it = e.by_pos.find(pos);
+    return it == e.by_pos.end() ? nullptr : it->second;
 }
 
 CheckpointCacheCounters
@@ -349,8 +399,7 @@ runPhaseSampled(const SimConfig &cfg, const std::string &workload,
     WorkloadCkpts &e = entryFor(workload);
 
     const auto wall_start = std::chrono::steady_clock::now();
-    double ff_wall = 0.0;
-    TranslationStats ff_stats;
+    ChainWork chain;
 
     RunResult r;
     r.workload = workload;
@@ -364,24 +413,40 @@ runPhaseSampled(const SimConfig &cfg, const std::string &workload,
     r.sampling.phase_seed = params.phase.seed;
 
     // The profile pass is cached process-wide (like the checkpoint
-    // chain); its wall clock lands in the fast-forward bucket.
-    const auto prof_start = std::chrono::steady_clock::now();
-    const std::shared_ptr<const PhaseAnalysis> pa =
-        phaseAnalysisFor(workload, params.phase, budget);
-    ff_wall += std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - prof_start)
-                   .count();
+    // chain); its wall clock lands in the fast-forward bucket.  A
+    // profile built here also leaves anchors, so every
+    // representative's checkpoint is built in one locked batch from
+    // the nearest earlier anchor, and the anchors are freed before
+    // the windows run.
+    std::shared_ptr<const PhaseAnalysis> pa;
+    std::vector<std::shared_ptr<const Checkpoint>> ckpts;
+    {
+        const auto prof_start = std::chrono::steady_clock::now();
+        std::vector<Checkpoint> anchors;
+        pa = phaseAnalysisFor(workload, params.phase, budget, &anchors);
+        chain.wall_s += std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - prof_start)
+                            .count();
+        r.sampling.ff_anchors = anchors.size();
+
+        std::lock_guard<std::mutex> lock(e.m);
+        for (const PhaseInfo &ph : pa->phases) {
+            u64 halt_pos = 0;
+            ckpts.push_back(checkpointAt(
+                e, workload, ph.rep * params.phase.interval, anchors,
+                &chain, &halt_pos));
+        }
+    }
 
     r.sampling.phase_k = pa->k;
     r.sampling.phase_intervals = pa->assignment.size();
     bool completed = pa->completed;
     u64 detailed_retired = 0;
 
-    for (const PhaseInfo &ph : pa->phases) {
+    for (size_t i = 0; i < pa->phases.size(); ++i) {
+        const PhaseInfo &ph = pa->phases[i];
         const u64 start = ph.rep * params.phase.interval;
-        u64 halt_pos = 0;
-        const std::shared_ptr<const Checkpoint> ck =
-            checkpointAt(e, workload, start, &ff_wall, &ff_stats, &halt_pos);
+        const std::shared_ptr<const Checkpoint> &ck = ckpts[i];
 
         PhaseCpi row;
         row.id = ph.id;
@@ -478,11 +543,7 @@ runPhaseSampled(const SimConfig &cfg, const std::string &workload,
     r.sampling.functional_instr = pa->covered > detailed_retired
         ? pa->covered - detailed_retired
         : 0;
-    r.sampling.func_wall_s = ff_wall;
-    r.sampling.ff_blocks_translated = ff_stats.blocks_translated;
-    r.sampling.ff_retranslations = ff_stats.retranslations;
-    r.sampling.ff_evictions = ff_stats.evictions;
-    r.sampling.ff_chain_hits = ff_stats.chain_hits;
+    recordChainWork(chain, &r.sampling);
     r.completed = completed;
     // The headline IPC is the weighted estimate — the whole point of
     // phase weighting — not the unweighted window sum.
@@ -513,8 +574,7 @@ runWorkloadSampled(const SimConfig &cfg, const std::string &workload,
     WorkloadCkpts &e = entryFor(workload);
 
     const auto wall_start = std::chrono::steady_clock::now();
-    double ff_wall = 0.0;
-    TranslationStats ff_stats;
+    ChainWork chain;
 
     RunResult r;
     r.workload = workload;
@@ -538,8 +598,11 @@ runWorkloadSampled(const SimConfig &cfg, const std::string &workload,
 
         const u64 start = pos + params.skip;
         u64 halt_pos = 0;
-        const std::shared_ptr<const Checkpoint> ck =
-            checkpointAt(e, workload, start, &ff_wall, &ff_stats, &halt_pos);
+        std::shared_ptr<const Checkpoint> ck;
+        {
+            std::lock_guard<std::mutex> lock(e.m);
+            ck = checkpointAt(e, workload, start, {}, &chain, &halt_pos);
+        }
         if (!ck) {
             // Program ends inside this skip: coverage extends to HALT.
             pos = halt_pos;
@@ -609,11 +672,7 @@ runWorkloadSampled(const SimConfig &cfg, const std::string &workload,
 
     r.sampling.covered = pos;
     r.sampling.functional_instr = pos - detailed_retired;
-    r.sampling.func_wall_s = ff_wall;
-    r.sampling.ff_blocks_translated = ff_stats.blocks_translated;
-    r.sampling.ff_retranslations = ff_stats.retranslations;
-    r.sampling.ff_evictions = ff_stats.evictions;
-    r.sampling.ff_chain_hits = ff_stats.chain_hits;
+    recordChainWork(chain, &r.sampling);
     r.completed = completed;
     r.ipc = r.cycles > 0 ? static_cast<double>(r.retired)
                                / static_cast<double>(r.cycles)

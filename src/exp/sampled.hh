@@ -30,6 +30,7 @@
 #ifndef DMT_EXP_SAMPLED_HH
 #define DMT_EXP_SAMPLED_HH
 
+#include <memory>
 #include <string>
 
 #include "exp/phase.hh"
@@ -109,6 +110,11 @@ RunResult runWorkloadSampled(const SimConfig &cfg,
  * Also zeroes the cache counters below.
  */
 void clearCheckpointCache();
+
+/** The in-memory checkpoint of @p workload at @p pos, or nullptr when
+ *  none is cached (test hook). */
+std::shared_ptr<const Checkpoint>
+cachedCheckpoint(const std::string &workload, u64 pos);
 
 /**
  * Process-lifetime accounting for the shared checkpoint cache.  A

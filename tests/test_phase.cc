@@ -23,11 +23,13 @@
 #include <sstream>
 #include <string>
 
+#include "casm/assembler.hh"
 #include "common/log.hh"
 #include "exp/phase.hh"
 #include "exp/runner.hh"
 #include "exp/sampled.hh"
 #include "sim/bbv.hh"
+#include "sim/functional_core.hh"
 #include "step_reference.hh"
 #include "uarch/config.hh"
 #include "workloads/workloads.hh"
@@ -204,6 +206,128 @@ TEST(Bbv, IntervalsPartitionTheStream)
     EXPECT_EQ(covered, 123457u) << "go runs past this budget";
 }
 
+// ---- anchored profile --------------------------------------------------
+
+/** A generated loop nest of 21.76M instructions: five profile chunks,
+ *  one memory page. */
+const char *const kLongSpec = "gen:loopnest:7:trips=10000:units=64";
+
+/** @p ck must hold exactly the architectural state of @p core. */
+void
+expectSameState(const Checkpoint &ck, const FunctionalCore &core)
+{
+    EXPECT_EQ(ck.instr_count, core.instrCount());
+    EXPECT_EQ(ck.state.pc, core.state().pc);
+    EXPECT_EQ(ck.state.halted, core.state().halted);
+    EXPECT_EQ(ck.state.regs, core.state().regs);
+    EXPECT_EQ(ck.state.output, core.state().output);
+    EXPECT_EQ(ck.state.out_count, core.state().out_count);
+    EXPECT_EQ(ck.state.out_hash, core.state().out_hash);
+    EXPECT_TRUE(ck.mem == core.memory());
+}
+
+/** Advance @p core to @p pos (or HALT). */
+void
+advanceTo(FunctionalCore &core, u64 pos)
+{
+    while (core.instrCount() < pos && !core.halted())
+        core.run(pos - core.instrCount());
+}
+
+/**
+ * Anchors must sit at strictly increasing chunk multiples inside the
+ * profiled stream, hold at most kAnchorPageBudget (each charged at
+ * least one page), and equal a fresh core run from the entry.
+ */
+void
+expectExactAnchors(const Program &prog,
+                   const std::vector<Checkpoint> &anchors, u64 covered)
+{
+    FunctionalCore fresh(prog);
+    u64 prev = 0;
+    u64 held = 0;
+    for (const Checkpoint &a : anchors) {
+        EXPECT_GT(a.instr_count, prev);
+        EXPECT_EQ(a.instr_count % kProfileChunk, 0u);
+        EXPECT_LT(a.instr_count, covered);
+        EXPECT_EQ(a.prog_hash, Checkpoint::programHash(prog));
+        prev = a.instr_count;
+        held += std::max<u64>(a.mem.numPages(), 1)
+            * MainMemory::kPageSize;
+        advanceTo(fresh, a.instr_count);
+        expectSameState(a, fresh);
+    }
+    EXPECT_LE(held, kAnchorPageBudget);
+}
+
+TEST(AnchoredProfile, MatchesThePlainProfileAndTheStream)
+{
+    const Program prog = buildWorkload(kLongSpec);
+    constexpr u64 kInterval = 20000;
+
+    u64 cov = 0, cov_a = 0;
+    bool done = false, done_a = false;
+    const std::vector<IntervalBbv> plain =
+        collectBbvs(prog, kInterval, 0, &cov, &done);
+    std::vector<Checkpoint> anchors;
+    const std::vector<IntervalBbv> anchored = collectBbvsAnchored(
+        prog, kInterval, 0, &anchors, &cov_a, &done_a);
+
+    EXPECT_TRUE(plain == anchored) << "anchors must not perturb the BBVs";
+    EXPECT_EQ(cov, cov_a);
+    EXPECT_EQ(done, done_a);
+    ASSERT_TRUE(done);
+    ASSERT_EQ(cov / kProfileChunk, 5u) << "expected a five-chunk program";
+    // One page of memory: every chunk end fits the budget.
+    EXPECT_EQ(anchors.size(), 5u);
+    expectExactAnchors(prog, anchors, cov);
+
+    // A budget on a chunk multiple takes no anchor at the budget.
+    const u64 budget = 3 * kProfileChunk;
+    const std::vector<IntervalBbv> bounded = collectBbvsAnchored(
+        prog, kInterval, budget, &anchors, &cov_a);
+    EXPECT_TRUE(bounded == collectBbvs(prog, kInterval, budget));
+    EXPECT_EQ(cov_a, budget);
+    ASSERT_EQ(anchors.size(), 2u);
+    expectExactAnchors(prog, anchors, cov_a);
+
+    // Shorter than one chunk: no anchors.
+    collectBbvsAnchored(prog, kInterval, kProfileChunk - 1, &anchors);
+    EXPECT_TRUE(anchors.empty());
+}
+
+TEST(AnchoredProfile, ThinsToThePageBudget)
+{
+    // Touches a new 64 KiB page every 2^20 - 10 instructions, so the
+    // anchor at chunk c would hold 4c + 1 pages: chunk 4's anchor
+    // forces stride 2, chunk 6's stride 4, and chunk 8's 33 pages
+    // alone exceed the budget.
+    const Program prog = assembleOrDie(R"(
+            li   $s0, 0x20000000
+            li   $s1, 36
+            li   $s2, 0x10000
+    outer:  sw   $s1, 0($s0)
+            add  $s0, $s0, $s2
+            li   $t0, 0x7fffa
+    inner:  addi $t0, $t0, -1
+            bnez $t0, inner
+            addi $s1, $s1, -1
+            bnez $s1, outer
+            halt
+    )");
+    u64 cov = 0;
+    bool done = false;
+    std::vector<Checkpoint> anchors;
+    collectBbvsAnchored(prog, 100000, 0, &anchors, &cov, &done);
+    ASSERT_TRUE(done);
+    ASSERT_EQ(cov / kProfileChunk, 8u);
+
+    ASSERT_EQ(anchors.size(), 1u);
+    EXPECT_EQ(anchors[0].instr_count, 4 * kProfileChunk);
+    EXPECT_EQ(anchors[0].mem.numPages(), 17u);
+    expectExactAnchors(prog, anchors, cov);
+}
+
 // ---- seeded clustering -------------------------------------------------
 
 PhaseParams
@@ -348,6 +472,41 @@ TEST(PhaseSampled, DeterministicAcrossCacheStatesAndEngines)
     EXPECT_EQ(cold.sampling.phase_intervals, 20u);
     EXPECT_GT(cold.sampling.covered, 0u);
     EXPECT_LT(cold.sampling.functional_instr, cold.sampling.covered);
+    clearAllCaches();
+}
+
+TEST(PhaseSampled, AnchoredChainMatchesTheCursorAndCaches)
+{
+    const SampleParams p = phaseParams("phase:20000:500:1500");
+    const SimConfig cfg = SimConfig::dmt(6, 2);
+
+    clearAllCaches();
+    const RunResult cold = runWorkloadSampled(cfg, kLongSpec, p);
+    ASSERT_TRUE(cold.completed);
+    ASSERT_GE(cold.sampling.phases.size(), 2u);
+    EXPECT_EQ(cold.sampling.ff_anchors, 5u);
+
+    // Each representative's checkpoint is the state a cursor reaches
+    // from the entry, though the chain started from anchors.
+    const Program prog = buildWorkload(kLongSpec);
+    FunctionalCore cursor(prog);
+    u64 last = 0;
+    for (const PhaseCpi &ph : cold.sampling.phases) {
+        const std::shared_ptr<const Checkpoint> ck =
+            cachedCheckpoint(kLongSpec, ph.pos);
+        ASSERT_TRUE(ck) << "no checkpoint at " << ph.pos;
+        advanceTo(cursor, ph.pos);
+        expectSameState(*ck, cursor);
+        last = std::max(last, ph.pos);
+    }
+    EXPECT_LT(cold.sampling.ff_instr, last)
+        << "the chain must not re-run the prefix from the entry";
+
+    const RunResult warm = runWorkloadSampled(cfg, kLongSpec, p);
+    EXPECT_EQ(cold.jsonString(), warm.jsonString())
+        << "warm phase/checkpoint caches must not change a byte";
+    EXPECT_EQ(warm.sampling.ff_instr, 0u);
+    EXPECT_EQ(warm.sampling.ff_anchors, 0u);
     clearAllCaches();
 }
 
