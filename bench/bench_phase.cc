@@ -1,17 +1,14 @@
 /**
  * @file
- * Phase-aware vs uniform sampling accuracy (DESIGN.md section 17): for
+ * Phase-sampled vs full-detail accuracy (DESIGN.md section 17): for
  * every suite kernel plus a spread of generated-family instances, run
- * full-detail simulation as ground truth, then estimate CPI three ways
- * — uniform interval sampling, uniform capped to the same number of
- * windows the phase mode uses (matched measured-instruction budget),
- * and phase-aware sampling (DMT_SAMPLE=phase:...) — each from cold
- * caches so wall clocks include the profiling/checkpointing they
- * require.  The table reports per-workload CPI error against full
- * detail, the confidence-interval width, detailed instructions spent
- * and wall clock; BENCH_phase.json archives everything.  The headline
- * claim this bench defends: phase placement matches or beats uniform
- * accuracy while spending several times fewer detailed instructions.
+ * full-detail simulation as ground truth, then estimate CPI with phase
+ * sampling (DMT_SAMPLE=phase:...) from cold caches, so the wall clock
+ * includes the profiling and checkpointing it requires.  The table
+ * reports per-workload CPI error against full detail, both absolute
+ * and signed (a one-signed error is bias, not noise), the
+ * confidence-interval width, detailed instructions spent and wall
+ * clock; BENCH_phase.json archives everything.
  */
 
 #include "bench_common.hh"
@@ -24,17 +21,18 @@
 namespace
 {
 
-/** One sampling mode's estimate for one workload. */
-struct ModeResult
+/** The phase-sampled estimate for one workload. */
+struct PhaseEstimate
 {
     double cpi = 0.0;
     double ci95 = 0.0;
-    double err_pct = 0.0;  ///< |cpi - full| / full * 100
+    double signed_err_pct = 0.0; ///< (cpi - full) / full * 100
+    double err_pct = 0.0;        ///< |signed_err_pct|
     dmt::u64 windows = 0;
     dmt::u64 detailed = 0; ///< detailed (warm + measured) instructions
     dmt::u64 covered = 0;
     double wall_s = 0.0;
-    dmt::u64 phase_k = 0;  ///< phase mode only
+    dmt::u64 phase_k = 0;
 };
 
 struct WorkloadRow
@@ -43,7 +41,7 @@ struct WorkloadRow
     double full_cpi = 0.0;
     dmt::u64 full_instr = 0;
     double full_wall_s = 0.0;
-    ModeResult uniform, matched, phase;
+    PhaseEstimate phase;
 };
 
 /** The comparison suite: all 8 kernels plus one instance per
@@ -62,21 +60,22 @@ phaseBenchSpecs()
     return specs;
 }
 
-ModeResult
-runMode(const dmt::SimConfig &cfg, const std::string &workload,
-        const dmt::SampleParams &p, dmt::u64 budget, double full_cpi)
+PhaseEstimate
+runPhase(const dmt::SimConfig &cfg, const std::string &workload,
+         const dmt::SampleParams &p, dmt::u64 budget, double full_cpi)
 {
     using namespace dmt;
-    // Cold caches: each mode pays for its own profiling/checkpoints,
-    // so wall clocks compare the full cost of the approach.
+    // Cold caches: the wall clock pays for the profile and the
+    // checkpoints, the full cost of the estimate.
     clearCheckpointCache();
     clearPhaseCache();
     const RunResult r = runWorkloadSampled(cfg, workload, p, budget);
-    ModeResult m;
+    PhaseEstimate m;
     m.cpi = r.sampling.cpi_mean;
     m.ci95 = r.sampling.cpi_ci95;
-    m.err_pct = full_cpi > 0.0
-        ? std::fabs(m.cpi - full_cpi) / full_cpi * 100.0 : 0.0;
+    m.signed_err_pct = full_cpi > 0.0
+        ? (m.cpi - full_cpi) / full_cpi * 100.0 : 0.0;
+    m.err_pct = std::fabs(m.signed_err_pct);
     m.windows = r.sampling.intervals;
     m.covered = r.sampling.covered;
     m.detailed = r.sampling.covered - r.sampling.functional_instr;
@@ -86,18 +85,18 @@ runMode(const dmt::SimConfig &cfg, const std::string &workload,
 }
 
 void
-modeJsonOn(dmt::JsonWriter &w, const ModeResult &m)
+phaseJsonOn(dmt::JsonWriter &w, const PhaseEstimate &m)
 {
     w.beginObject();
     w.key("cpi").value(m.cpi);
     w.key("ci95").value(m.ci95);
     w.key("err_pct").value(m.err_pct);
+    w.key("signed_err_pct").value(m.signed_err_pct);
     w.key("windows").value(m.windows);
     w.key("detailed_instr").value(m.detailed);
     w.key("covered").value(m.covered);
     w.key("wall_s").value(m.wall_s);
-    if (m.phase_k > 0)
-        w.key("phase_k").value(m.phase_k);
+    w.key("phase_k").value(m.phase_k);
     w.endObject();
 }
 
@@ -108,21 +107,14 @@ benchMain()
 {
     using namespace dmt;
 
-    // Whole programs (capped so gen:branchy stays bounded): the longer
-    // the stream, the more windows uniform sampling must pay for while
-    // the phase mode still pays k.  DMT_BENCH_INSTR can push further.
+    // Whole programs (capped so gen:branchy stays bounded); the phase
+    // estimate pays k windows however long the stream.
+    // DMT_BENCH_INSTR can push further.
     const u64 budget = std::max<u64>(benchRunLength(), 2000000);
     const SimConfig cfg = SimConfig::dmt(6, 2);
 
-    // Per-window depth differs deliberately: uniform spreads its
-    // budget over every interval, so each window stays shallow; phase
-    // runs only k windows, so it can afford warm/measure deep enough
-    // to beat the cold-resume bias — that trade is the mode's point.
-    SampleParams uniform;
-    std::string perr;
-    if (!SampleParams::parse("20000:2000:2000", &uniform, &perr))
-        panic("uniform spec: %s", perr.c_str());
     SampleParams phase;
+    std::string perr;
     if (!SampleParams::parse("phase:20000:4000:4000", &phase, &perr))
         panic("phase spec: %s", perr.c_str());
 
@@ -139,80 +131,53 @@ benchMain()
                   / static_cast<double>(full.retired)
             : 0.0;
 
-        row.phase = runMode(cfg, spec, phase, budget, row.full_cpi);
-        row.uniform = runMode(cfg, spec, uniform, budget, row.full_cpi);
-        // Uniform at the phase mode's measured-instruction budget:
-        // what the same detailed spend buys without phase placement.
-        SampleParams matched = uniform;
-        matched.max_intervals = std::max<u64>(
-            row.phase.detailed / (uniform.warm + uniform.measure), 1);
-        row.matched = runMode(cfg, spec, matched, budget, row.full_cpi);
+        row.phase = runPhase(cfg, spec, phase, budget, row.full_cpi);
 
         if (!benchQuiet()) {
             std::fprintf(stderr,
-                         "phase bench: %-40s full %.4f  uniform %.4f "
-                         "(%llu win)  phase %.4f (k=%llu)\n",
-                         row.name.c_str(), row.full_cpi,
-                         row.uniform.cpi,
+                         "phase bench: %-40s full %.4f  phase %.4f "
+                         "(k=%llu, %+.2f%%)\n",
+                         row.name.c_str(), row.full_cpi, row.phase.cpi,
                          static_cast<unsigned long long>(
-                             row.uniform.windows),
-                         row.phase.cpi,
-                         static_cast<unsigned long long>(
-                             row.phase.phase_k));
+                             row.phase.phase_k),
+                         row.phase.signed_err_pct);
         }
         rows.push_back(std::move(row));
     }
 
-    // Aggregates: mean absolute CPI error and total detailed
-    // instructions per mode.
-    double err_u = 0.0, err_m = 0.0, err_p = 0.0;
-    u64 det_u = 0, det_m = 0, det_p = 0;
+    // Aggregates: mean absolute and mean signed CPI error, total
+    // detailed instructions.
+    double err = 0.0, signed_err = 0.0;
+    u64 detailed = 0;
     for (const WorkloadRow &row : rows) {
-        err_u += row.uniform.err_pct;
-        err_m += row.matched.err_pct;
-        err_p += row.phase.err_pct;
-        det_u += row.uniform.detailed;
-        det_m += row.matched.detailed;
-        det_p += row.phase.detailed;
+        err += row.phase.err_pct;
+        signed_err += row.phase.signed_err_pct;
+        detailed += row.phase.detailed;
     }
     const double n = static_cast<double>(rows.size());
-    err_u /= n;
-    err_m /= n;
-    err_p /= n;
-    const double reduction = det_p > 0
-        ? static_cast<double>(det_u) / static_cast<double>(det_p) : 0.0;
+    err /= n;
+    signed_err /= n;
 
-    std::printf("phase vs uniform sampling, %llu instr budget, "
+    std::printf("phase sampling vs full detail, %llu instr budget, "
                 "%zu workloads (spec %s)\n",
                 static_cast<unsigned long long>(budget), rows.size(),
                 phase.canonicalSpec().c_str());
-    std::printf("%-40s %9s %9s %8s %9s %8s %9s %8s %6s\n", "workload",
-                "full_cpi", "uni_cpi", "err%", "match_cpi", "err%",
-                "phase_cpi", "err%", "k");
+    std::printf("%-40s %9s %9s %9s %9s %6s\n", "workload", "full_cpi",
+                "phase_cpi", "err%", "ci95", "k");
     for (const WorkloadRow &row : rows) {
-        std::printf("%-40s %9.4f %9.4f %8.2f %9.4f %8.2f %9.4f %8.2f "
-                    "%6llu\n",
-                    row.name.c_str(), row.full_cpi, row.uniform.cpi,
-                    row.uniform.err_pct, row.matched.cpi,
-                    row.matched.err_pct, row.phase.cpi,
-                    row.phase.err_pct,
+        std::printf("%-40s %9.4f %9.4f %+9.2f %9.4f %6llu\n",
+                    row.name.c_str(), row.full_cpi, row.phase.cpi,
+                    row.phase.signed_err_pct, row.phase.ci95,
                     static_cast<unsigned long long>(row.phase.phase_k));
     }
-    std::printf("mean |CPI error|: uniform %.2f%%, uniform-matched "
-                "%.2f%%, phase %.2f%%\n",
-                err_u, err_m, err_p);
-    std::printf("detailed instructions: uniform %llu, matched %llu, "
-                "phase %llu (%.1fx fewer than uniform)\n",
-                static_cast<unsigned long long>(det_u),
-                static_cast<unsigned long long>(det_m),
-                static_cast<unsigned long long>(det_p), reduction);
+    std::printf("mean |CPI error| %.2f%%, mean signed error %+.2f%%, "
+                "%llu detailed instructions\n",
+                err, signed_err, static_cast<unsigned long long>(detailed));
 
     JsonWriter w;
     w.beginObject();
     w.key("artifact").value(std::string_view("phase"));
     w.key("budget").value(budget);
-    w.key("uniform_spec")
-        .value(std::string_view(uniform.canonicalSpec()));
     w.key("phase_spec").value(std::string_view(phase.canonicalSpec()));
     w.key("config");
     cfg.jsonOn(w);
@@ -223,24 +188,16 @@ benchMain()
         w.key("full_cpi").value(row.full_cpi);
         w.key("full_instr").value(row.full_instr);
         w.key("full_wall_s").value(row.full_wall_s);
-        w.key("uniform");
-        modeJsonOn(w, row.uniform);
-        w.key("uniform_matched");
-        modeJsonOn(w, row.matched);
         w.key("phase");
-        modeJsonOn(w, row.phase);
+        phaseJsonOn(w, row.phase);
         w.endObject();
     }
     w.endArray();
     w.key("summary");
     w.beginObject();
-    w.key("mean_err_pct_uniform").value(err_u);
-    w.key("mean_err_pct_uniform_matched").value(err_m);
-    w.key("mean_err_pct_phase").value(err_p);
-    w.key("detailed_instr_uniform").value(det_u);
-    w.key("detailed_instr_uniform_matched").value(det_m);
-    w.key("detailed_instr_phase").value(det_p);
-    w.key("detail_reduction_vs_uniform").value(reduction);
+    w.key("mean_err_pct_phase").value(err);
+    w.key("mean_signed_err_pct_phase").value(signed_err);
+    w.key("detailed_instr_phase").value(detailed);
     w.endObject();
     w.endObject();
 

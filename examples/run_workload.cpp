@@ -35,13 +35,10 @@ void
 reportCheckpointCache()
 {
     const dmt::CheckpointCacheCounters c = dmt::checkpointCacheCounters();
-    if (c.mem_hits + c.disk_hits + c.builds == 0)
+    if (c.mem_hits + c.builds == 0)
         return;
-    std::fprintf(stderr,
-                 "checkpoint cache: %llu mem hit(s), %llu disk "
-                 "hit(s), %llu built\n",
+    std::fprintf(stderr, "checkpoint cache: %llu hit(s), %llu built\n",
                  static_cast<unsigned long long>(c.mem_hits),
-                 static_cast<unsigned long long>(c.disk_hits),
                  static_cast<unsigned long long>(c.builds));
 }
 
@@ -64,7 +61,7 @@ reportPhaseCache()
 void
 printPhaseTable(const dmt::RunResult &r)
 {
-    if (r.sampling.mode != "phase")
+    if (!r.sampling.enabled)
         return;
     std::fprintf(stderr,
                  "%s phases: k=%llu of %llu interval(s) x %llu instr "

@@ -2,16 +2,17 @@
  * @file
  * SimPoint-style phase analysis over fast-forward BBVs.
  *
- * The uniform sampler (exp/sampled.hh) spends its detailed-simulation
- * budget re-measuring the same program phase over and over.  This
- * module finds the phases instead: a functional fast-forward pass
- * collects one basic-block vector per fixed-length instruction
- * interval (sim/bbv.hh), the vectors are random-projected to a small
- * fixed dimension, clustered with a deterministic seeded k-means++,
- * and a BIC-style score picks k.  Each cluster contributes one
- * representative interval and an instruction-count weight; the phase
- * sampling mode (DMT_SAMPLE=phase:...) then runs one warm+measure
- * window per representative and aggregates CPI by weight.
+ * This module finds a program's phases, so a sampled run
+ * (exp/sampled.hh) spends its detailed-simulation budget once per
+ * phase instead of re-measuring the same phase over and over.  A
+ * functional fast-forward pass collects one basic-block vector per
+ * fixed-length instruction interval (sim/bbv.hh), the vectors are
+ * random-projected to a small fixed dimension, clustered with a
+ * deterministic seeded k-means++, and a BIC-style score picks k.  Each
+ * cluster contributes one representative interval and an
+ * instruction-count weight; the sampled run (DMT_SAMPLE=phase:...)
+ * then runs one warm+measure window per representative and aggregates
+ * CPI by weight.
  *
  * Determinism contract: every stage is bit-identical across reruns,
  * platforms and DMT_JOBS settings.  The BBVs are a pure function of
@@ -110,7 +111,9 @@ std::vector<IntervalBbv> collectBbvsAnchored(
  * Source-compatibility shims for perfbench/workloads.cc, whose
  * collectBbvs() call still names a fast-forward engine.  There is one
  * engine; the mode is ignored and no environment variable is read.
- * Nothing else may use these.
+ * The third shim is CheckpointCacheCounters::disk_hits
+ * (exp/sampled.hh), which perfbench also reads: there is no on-disk
+ * checkpoint tier, so it is always 0.  Nothing else may use these.
  */
 enum class FfMode : u8
 {

@@ -17,37 +17,33 @@ void
 SampleSummary::jsonOn(JsonWriter &w, bool include_timing) const
 {
     w.beginObject();
-    w.key("mode").value(std::string_view(mode));
-    w.key("skip").value(skip);
     w.key("warm").value(warm);
     w.key("measure").value(measure);
     w.key("intervals").value(intervals);
     w.key("covered").value(covered);
     w.key("functional_instr").value(functional_instr);
-    if (mode == "phase") {
-        w.key("phase_interval").value(phase_interval);
-        w.key("phase_max_k").value(phase_max_k);
-        w.key("phase_dims").value(phase_dims);
-        w.key("phase_seed").value(phase_seed);
-        w.key("phase_k").value(phase_k);
-        w.key("phase_intervals").value(phase_intervals);
-        w.key("phases");
-        w.beginArray();
-        for (const PhaseCpi &ph : phases) {
-            w.beginObject();
-            w.key("id").value(static_cast<u64>(ph.id));
-            w.key("rep").value(ph.rep);
-            w.key("pos").value(ph.pos);
-            w.key("members").value(ph.members);
-            w.key("weight").value(ph.weight);
-            w.key("measured").value(ph.measured);
-            w.key("cycles").value(ph.cycles);
-            w.key("retired").value(ph.retired);
-            w.key("cpi").value(ph.cpi);
-            w.endObject();
-        }
-        w.endArray();
+    w.key("phase_interval").value(phase_interval);
+    w.key("phase_max_k").value(phase_max_k);
+    w.key("phase_dims").value(phase_dims);
+    w.key("phase_seed").value(phase_seed);
+    w.key("phase_k").value(phase_k);
+    w.key("phase_intervals").value(phase_intervals);
+    w.key("phases");
+    w.beginArray();
+    for (const PhaseCpi &ph : phases) {
+        w.beginObject();
+        w.key("id").value(static_cast<u64>(ph.id));
+        w.key("rep").value(ph.rep);
+        w.key("pos").value(ph.pos);
+        w.key("members").value(ph.members);
+        w.key("weight").value(ph.weight);
+        w.key("measured").value(ph.measured);
+        w.key("cycles").value(ph.cycles);
+        w.key("retired").value(ph.retired);
+        w.key("cpi").value(ph.cpi);
+        w.endObject();
     }
+    w.endArray();
     if (include_timing) {
         w.key("func_wall_s").value(func_wall_s);
         w.key("ff_blocks_translated").value(ff_blocks_translated);
@@ -121,7 +117,7 @@ runWorkload(const SimConfig &cfg, const std::string &workload,
             u64 max_retired)
 {
     // Sampled mode (DMT_SAMPLE) reroutes the whole funnel: benches and
-    // sweeps get interval sampling without knowing about it.
+    // sweeps get phase sampling without knowing about it.
     return runWorkloadJob(cfg, workload, max_retired,
                           SampleParams::fromEnv());
 }

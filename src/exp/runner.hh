@@ -20,7 +20,7 @@ namespace dmt
 
 class JsonWriter;
 
-/** One measured window of an interval-sampled run. */
+/** One measured window of a phase-sampled run. */
 struct SampleInterval
 {
     /** Retired-instruction position where the detailed window began
@@ -53,14 +53,10 @@ struct PhaseCpi
 struct SampleSummary
 {
     bool enabled = false;
-    /** Placement policy: "uniform" or "phase" (canonical JSON). */
-    std::string mode = "uniform";
-    u64 skip = 0;    ///< fast-forwarded instructions per interval
     u64 warm = 0;    ///< detailed warmup instructions (stats detached)
     u64 measure = 0; ///< detailed measured instructions
-    u64 intervals = 0; ///< measured intervals completed
-    /** Phase-mode analysis identity + outcome (zero in uniform mode;
-     *  emitted to JSON only when mode == "phase"). */
+    u64 intervals = 0; ///< measured windows completed
+    /** Phase-analysis identity + outcome. */
     u64 phase_interval = 0;  ///< BBV interval length
     u64 phase_max_k = 0;     ///< cluster bound requested
     u64 phase_dims = 0;      ///< projection dimensions
@@ -91,9 +87,8 @@ struct SampleSummary
      *  above. */
     u64 ff_instr = 0;
     u64 ff_anchors = 0;
-    /** Per-interval CPI statistics; ci95 = 1.96 * sd / sqrt(n).  In
-     *  phase mode the mean is phase-weight weighted and sd/ci95 use
-     *  the weighted spread over measured phases. */
+    /** Phase-weighted CPI over the measured phases; sd is their
+     *  weighted spread and ci95 = 1.96 * sd / sqrt(n). */
     double cpi_mean = 0.0;
     double cpi_sd = 0.0;
     double cpi_ci95 = 0.0;
@@ -115,7 +110,7 @@ struct RunResult
     /** Host throughput: retired Minstr per wall second. */
     double minstr_per_s = 0.0;
     DmtStats stats;
-    /** Interval-sampling summary; enabled only in sampled mode, where
+    /** Phase-sampling summary; enabled only in sampled mode, where
      *  cycles/retired/stats cover the measured windows only. */
     SampleSummary sampling;
 
@@ -143,11 +138,13 @@ u64 benchRunLength();
  * Golden checking stays enabled: a bench producing wrong execution
  * aborts rather than reporting garbage.
  *
- * When DMT_SAMPLE is set ("skip:warm:measure[:intervals]") the run is
+ * When DMT_SAMPLE is set
+ * ("phase:interval:warm:measure[:maxk[:dims[:seed]]]") the run is
  * routed through runWorkloadSampled() instead: detailed simulation
- * covers periodic measurement windows and checkpointed functional
- * fast-forward covers the gaps, so every bench and sweep built on this
- * funnel gains paper-scale coverage without code changes.
+ * covers one window per phase representative and checkpointed
+ * functional fast-forward covers the rest, so every bench and sweep
+ * built on this funnel gains paper-scale coverage without code
+ * changes.
  */
 RunResult runWorkload(const SimConfig &cfg, const std::string &workload,
                       u64 max_retired = 0);

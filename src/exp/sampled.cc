@@ -1,7 +1,5 @@
 #include "exp/sampled.hh"
 
-#include <sys/stat.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -28,9 +26,12 @@ namespace dmt
 namespace
 {
 
-/** Bounds shared by spec parsing and the DMT_PHASE_* env knobs. */
+/** Bounds on the spec's maxk and dims fields. */
 constexpr u64 kPhaseMaxK = 64;
 constexpr u64 kPhaseMaxDims = 256;
+
+constexpr const char *kSpecGrammar =
+    "sample spec must be phase:interval:warm:measure[:maxk[:dims[:seed]]]";
 
 } // namespace
 
@@ -39,23 +40,16 @@ SampleParams::canonicalSpec() const
 {
     if (!enabled())
         return "off";
-    if (phaseMode()) {
-        // Every field explicit: two specs that behave identically must
-        // render identically, regardless of which trailing fields the
-        // user spelled out.
-        return strprintf("phase:%llu:%llu:%llu:%llu:%llu:%llu",
-                         static_cast<unsigned long long>(phase.interval),
-                         static_cast<unsigned long long>(warm),
-                         static_cast<unsigned long long>(measure),
-                         static_cast<unsigned long long>(phase.max_k),
-                         static_cast<unsigned long long>(phase.dims),
-                         static_cast<unsigned long long>(phase.seed));
-    }
-    return strprintf("%llu:%llu:%llu:%llu",
-                     static_cast<unsigned long long>(skip),
+    // Every field explicit: two specs that behave identically must
+    // render identically, regardless of which trailing fields the user
+    // spelled out.
+    return strprintf("phase:%llu:%llu:%llu:%llu:%llu:%llu",
+                     static_cast<unsigned long long>(phase.interval),
                      static_cast<unsigned long long>(warm),
                      static_cast<unsigned long long>(measure),
-                     static_cast<unsigned long long>(max_intervals));
+                     static_cast<unsigned long long>(phase.max_k),
+                     static_cast<unsigned long long>(phase.dims),
+                     static_cast<unsigned long long>(phase.seed));
 }
 
 bool
@@ -67,67 +61,15 @@ SampleParams::parse(std::string_view spec, SampleParams *out,
     if (t.empty())
         return true; // disabled
 
-    if (t.rfind("phase:", 0) == 0) {
-        const std::vector<std::string> parts =
-            splitFields(t.substr(6), ":");
-        if (parts.size() < 3 || parts.size() > 6) {
-            if (err)
-                *err = "phase sample spec must be phase:interval:warm:"
-                       "measure[:maxk[:dims[:seed]]]";
-            return false;
-        }
-        u64 v[6] = {0, 0, 0, 0, 0, 0};
-        for (size_t i = 0; i < parts.size(); ++i) {
-            if (!parseU64(parts[i], &v[i])) {
-                if (err)
-                    *err = "bad sample spec field \"" + parts[i] + "\"";
-                return false;
-            }
-        }
-        out->mode = Mode::Phase;
-        out->phase.interval = v[0];
-        out->warm = v[1];
-        out->measure = v[2];
-        if (parts.size() > 3)
-            out->phase.max_k = v[3];
-        if (parts.size() > 4)
-            out->phase.dims = v[4];
-        if (parts.size() > 5)
-            out->phase.seed = v[5];
-        if (out->phase.interval == 0) {
-            if (err)
-                *err = "phase interval length must be > 0";
-            return false;
-        }
-        if (out->measure == 0) {
-            if (err)
-                *err = "sample measure window must be > 0";
-            return false;
-        }
-        if (out->phase.max_k < 1 || out->phase.max_k > kPhaseMaxK) {
-            if (err)
-                *err = strprintf("phase maxk must be 1..%llu",
-                                 static_cast<unsigned long long>(
-                                     kPhaseMaxK));
-            return false;
-        }
-        if (out->phase.dims < 1 || out->phase.dims > kPhaseMaxDims) {
-            if (err)
-                *err = strprintf("phase dims must be 1..%llu",
-                                 static_cast<unsigned long long>(
-                                     kPhaseMaxDims));
-            return false;
-        }
-        return true;
-    }
-
-    const std::vector<std::string> parts = splitFields(t, ":");
-    if (parts.size() < 3 || parts.size() > 4) {
+    const std::vector<std::string> parts = t.rfind("phase:", 0) == 0
+        ? splitFields(t.substr(6), ":")
+        : std::vector<std::string>{};
+    if (parts.size() < 3 || parts.size() > 6) {
         if (err)
-            *err = "sample spec must be skip:warm:measure[:intervals]";
+            *err = kSpecGrammar;
         return false;
     }
-    u64 v[4] = {0, 0, 0, 0};
+    u64 v[6] = {0, 0, 0, 0, 0, 0};
     for (size_t i = 0; i < parts.size(); ++i) {
         if (!parseU64(parts[i], &v[i])) {
             if (err)
@@ -135,13 +77,36 @@ SampleParams::parse(std::string_view spec, SampleParams *out,
             return false;
         }
     }
-    out->skip = v[0];
+    out->phase.interval = v[0];
     out->warm = v[1];
     out->measure = v[2];
-    out->max_intervals = parts.size() == 4 ? v[3] : 0;
+    if (parts.size() > 3)
+        out->phase.max_k = v[3];
+    if (parts.size() > 4)
+        out->phase.dims = v[4];
+    if (parts.size() > 5)
+        out->phase.seed = v[5];
+    if (out->phase.interval == 0) {
+        if (err)
+            *err = "phase interval length must be > 0";
+        return false;
+    }
     if (out->measure == 0) {
         if (err)
             *err = "sample measure window must be > 0";
+        return false;
+    }
+    if (out->phase.max_k < 1 || out->phase.max_k > kPhaseMaxK) {
+        if (err)
+            *err = strprintf("phase maxk must be 1..%llu",
+                             static_cast<unsigned long long>(kPhaseMaxK));
+        return false;
+    }
+    if (out->phase.dims < 1 || out->phase.dims > kPhaseMaxDims) {
+        if (err)
+            *err = strprintf("phase dims must be 1..%llu",
+                             static_cast<unsigned long long>(
+                                 kPhaseMaxDims));
         return false;
     }
     return true;
@@ -157,20 +122,6 @@ SampleParams::fromEnv()
     std::string err;
     if (!SampleParams::parse(raw, &p, &err))
         fatal("DMT_SAMPLE=\"%s\": %s", raw, err.c_str());
-    if (p.phaseMode()) {
-        // Env defaults apply only to fields the spec left out; the
-        // canonical spec is always fully explicit, so result names and
-        // golden identities never depend on the environment.
-        const size_t nf = splitFields(raw, ":").size() - 1;
-        if (nf < 4)
-            p.phase.max_k =
-                parseEnvU64("DMT_PHASE_K", p.phase.max_k, 1, kPhaseMaxK);
-        if (nf < 5)
-            p.phase.dims = parseEnvU64("DMT_PHASE_DIMS", p.phase.dims,
-                                       1, kPhaseMaxDims);
-        if (nf < 6)
-            p.phase.seed = parseEnvU64("DMT_PHASE_SEED", p.phase.seed);
-    }
     return p;
 }
 
@@ -200,7 +151,6 @@ std::map<std::string, std::unique_ptr<WorkloadCkpts>> g_cache;
 
 // Shared-cache accounting (monotonic until clearCheckpointCache()).
 std::atomic<u64> g_ckpt_mem_hits{0};
-std::atomic<u64> g_ckpt_disk_hits{0};
 std::atomic<u64> g_ckpt_builds{0};
 
 WorkloadCkpts &
@@ -217,25 +167,6 @@ entryFor(const std::string &workload)
     return *slot;
 }
 
-std::string
-ckptPath(const char *dir, const std::string &workload, u64 pos)
-{
-    return strprintf("%s/%s-%llu.ckpt", dir, workload.c_str(),
-                     static_cast<unsigned long long>(pos));
-}
-
-/** The checkpoint directory, created (one level) on first use.
- *  @return nullptr when DMT_CKPT_DIR is unset. */
-const char *
-ckptDir()
-{
-    const char *dir = std::getenv("DMT_CKPT_DIR");
-    if (!dir || !*dir)
-        return nullptr;
-    ::mkdir(dir, 0755); // best-effort; EEXIST is the common case
-    return dir;
-}
-
 /** Host work of one run's checkpoint chain (timing-only telemetry). */
 struct ChainWork
 {
@@ -246,44 +177,26 @@ struct ChainWork
 
 /**
  * Architectural checkpoint at exactly @p pos retired instructions;
- * the caller holds e.m.  Order of preference: in-memory cache,
- * DMT_CKPT_DIR file, advancing the functional cursor from the latest
- * known state at or before @p pos — the cursor itself, a cached
- * checkpoint or one of @p anchors (ascending position), whichever is
- * furthest along, else the program entry.
+ * the caller holds e.m.  A cached checkpoint is reused; otherwise the
+ * functional cursor advances from the latest known state at or before
+ * @p pos — the cursor itself, a cached checkpoint or one of @p anchors
+ * (ascending position), whichever is furthest along, else the program
+ * entry.
  *
- * @return nullptr when the program HALTs at or before @p pos; then
- *         @p halt_pos_out receives the halt position.  @p work
- *         accumulates the cursor's host time, instructions and
+ * @return nullptr when the program HALTs at or before @p pos.
+ *         @p work accumulates the cursor's host time, instructions and
  *         translation-cache activity.
  */
 std::shared_ptr<const Checkpoint>
-checkpointAt(WorkloadCkpts &e, const std::string &workload, u64 pos,
-             const std::vector<Checkpoint> &anchors, ChainWork *work,
-             u64 *halt_pos_out)
+checkpointAt(WorkloadCkpts &e, u64 pos,
+             const std::vector<Checkpoint> &anchors, ChainWork *work)
 {
-    if (pos >= e.halt_pos) {
-        *halt_pos_out = e.halt_pos;
+    if (pos >= e.halt_pos)
         return nullptr;
-    }
     auto it = e.by_pos.find(pos);
     if (it != e.by_pos.end()) {
         g_ckpt_mem_hits.fetch_add(1, std::memory_order_relaxed);
         return it->second;
-    }
-
-    const char *dir = ckptDir();
-    if (dir) {
-        auto ck = std::make_shared<Checkpoint>();
-        std::string err;
-        if (Checkpoint::load(ckptPath(dir, workload, pos), e.prog_hash,
-                             ck.get(), &err)) {
-            DMT_ASSERT(ck->instr_count == pos,
-                       "checkpoint file position mismatch");
-            e.by_pos[pos] = ck;
-            g_ckpt_disk_hits.fetch_add(1, std::memory_order_relaxed);
-            return ck;
-        }
     }
 
     FunctionalCore &core = *e.cursor;
@@ -323,15 +236,12 @@ checkpointAt(WorkloadCkpts &e, const std::string &workload, u64 pos,
     work->xlat += core.translationStats() - xs_before;
     if (core.halted()) {
         e.halt_pos = core.instrCount();
-        *halt_pos_out = e.halt_pos;
         return nullptr;
     }
 
     auto ck = std::make_shared<Checkpoint>(Checkpoint::capture(core));
     e.by_pos[pos] = ck;
     g_ckpt_builds.fetch_add(1, std::memory_order_relaxed);
-    if (dir)
-        ck->save(ckptPath(dir, workload, pos)); // best-effort (warns)
     return ck;
 }
 
@@ -355,7 +265,6 @@ clearCheckpointCache()
     std::lock_guard<std::mutex> lock(g_cache_m);
     g_cache.clear();
     g_ckpt_mem_hits.store(0, std::memory_order_relaxed);
-    g_ckpt_disk_hits.store(0, std::memory_order_relaxed);
     g_ckpt_builds.store(0, std::memory_order_relaxed);
 }
 
@@ -377,25 +286,19 @@ checkpointCacheCounters()
 {
     CheckpointCacheCounters c;
     c.mem_hits = g_ckpt_mem_hits.load(std::memory_order_relaxed);
-    c.disk_hits = g_ckpt_disk_hits.load(std::memory_order_relaxed);
     c.builds = g_ckpt_builds.load(std::memory_order_relaxed);
     return c;
 }
 
-namespace
-{
-
-/**
- * Phase-aware placement: one warm+measure window per phase
- * representative found by the (cached) BBV profile, CPI aggregated by
- * phase weight.  Window execution and checkpoint handling are shared
- * with the uniform path; only the placement and the aggregation
- * differ.
- */
 RunResult
-runPhaseSampled(const SimConfig &cfg, const std::string &workload,
-                const SampleParams &params, u64 budget)
+runWorkloadSampled(const SimConfig &cfg, const std::string &workload,
+                   const SampleParams &params, u64 budget)
 {
+    DMT_ASSERT(params.enabled(),
+               "runWorkloadSampled needs a measure window");
+    if (budget == 0)
+        budget = parseEnvU64("DMT_BENCH_INSTR", 0); // 0 = whole program
+
     WorkloadCkpts &e = entryFor(workload);
 
     const auto wall_start = std::chrono::steady_clock::now();
@@ -404,7 +307,6 @@ runPhaseSampled(const SimConfig &cfg, const std::string &workload,
     RunResult r;
     r.workload = workload;
     r.sampling.enabled = true;
-    r.sampling.mode = "phase";
     r.sampling.warm = params.warm;
     r.sampling.measure = params.measure;
     r.sampling.phase_interval = params.phase.interval;
@@ -431,10 +333,8 @@ runPhaseSampled(const SimConfig &cfg, const std::string &workload,
 
         std::lock_guard<std::mutex> lock(e.m);
         for (const PhaseInfo &ph : pa->phases) {
-            u64 halt_pos = 0;
             ckpts.push_back(checkpointAt(
-                e, workload, ph.rep * params.phase.interval, anchors,
-                &chain, &halt_pos));
+                e, ph.rep * params.phase.interval, anchors, &chain));
         }
     }
 
@@ -528,8 +428,9 @@ runPhaseSampled(const SimConfig &cfg, const std::string &workload,
                 const double d = row.cpi - mean;
                 var += (row.weight / wsum) * d * d;
             }
-            // Bessel-style correction on the weighted spread so the CI
-            // matches the uniform sampler's n-1 convention.
+            // Bessel-style correction on the weighted spread: the
+            // sample spread of n windows underestimates the population
+            // spread, so scale by n/(n-1) as for an unweighted sample.
             const double n = static_cast<double>(measured);
             r.sampling.cpi_sd = std::sqrt(var * n / (n - 1.0));
             r.sampling.cpi_ci95 =
@@ -554,136 +455,6 @@ runPhaseSampled(const SimConfig &cfg, const std::string &workload,
     r.minstr_per_s = r.wall_s > 0.0
         ? static_cast<double>(pa->covered) / r.wall_s / 1e6
         : 0.0;
-    return r;
-}
-
-} // namespace
-
-RunResult
-runWorkloadSampled(const SimConfig &cfg, const std::string &workload,
-                   const SampleParams &params, u64 budget)
-{
-    DMT_ASSERT(params.enabled(),
-               "runWorkloadSampled needs a measure window");
-    if (budget == 0)
-        budget = parseEnvU64("DMT_BENCH_INSTR", 0); // 0 = whole program
-
-    if (params.phaseMode())
-        return runPhaseSampled(cfg, workload, params, budget);
-
-    WorkloadCkpts &e = entryFor(workload);
-
-    const auto wall_start = std::chrono::steady_clock::now();
-    ChainWork chain;
-
-    RunResult r;
-    r.workload = workload;
-    r.sampling.enabled = true;
-    r.sampling.skip = params.skip;
-    r.sampling.warm = params.warm;
-    r.sampling.measure = params.measure;
-
-    std::vector<double> cpis;
-    u64 pos = 0;                    // stream position traversed
-    u64 detailed_retired = 0;       // instructions run in detail
-    bool completed = false;
-
-    while (true) {
-        if (params.max_intervals > 0
-            && r.sampling.intervals >= params.max_intervals) {
-            break;
-        }
-        if (budget > 0 && pos >= budget)
-            break;
-
-        const u64 start = pos + params.skip;
-        u64 halt_pos = 0;
-        std::shared_ptr<const Checkpoint> ck;
-        {
-            std::lock_guard<std::mutex> lock(e.m);
-            ck = checkpointAt(e, workload, start, {}, &chain, &halt_pos);
-        }
-        if (!ck) {
-            // Program ends inside this skip: coverage extends to HALT.
-            pos = halt_pos;
-            completed = true;
-            break;
-        }
-
-        SimConfig wcfg = cfg;
-        wcfg.warmup_retired = params.warm;
-        wcfg.max_retired = params.warm + params.measure;
-
-        DmtEngine engine(wcfg, e.prog, ck.get());
-        engine.run();
-        if (!engine.goldenOk()) {
-            panic("golden mismatch on %s (sampled window at %llu): %s",
-                  workload.c_str(), static_cast<unsigned long long>(start),
-                  engine.goldenError().c_str());
-        }
-
-        completed = engine.programCompleted();
-        const u64 win_retired = engine.retiredTotal();
-        detailed_retired += win_retired;
-        pos = start + win_retired;
-
-        // A window the program ended during warmup contributes coverage
-        // but no measurement (its stat block never detached).
-        if (engine.measurementActive()
-            && engine.stats().retired.value() > 0) {
-            const DmtStats &ws = engine.stats();
-            SampleInterval iv;
-            iv.pos = start;
-            iv.cycles = ws.cycles.value();
-            iv.retired = ws.retired.value();
-            iv.spawned = ws.threads_spawned.value();
-            iv.squashed = ws.squashed_insts.value();
-            iv.recoveries = ws.recoveries.value();
-            r.sampling.records.push_back(iv);
-            ++r.sampling.intervals;
-            r.cycles += iv.cycles;
-            r.retired += iv.retired;
-            r.stats.merge(ws);
-            cpis.push_back(static_cast<double>(iv.cycles)
-                           / static_cast<double>(iv.retired));
-        }
-        if (completed)
-            break;
-    }
-
-    const size_t n = cpis.size();
-    if (n > 0) {
-        double sum = 0.0;
-        for (double c : cpis)
-            sum += c;
-        r.sampling.cpi_mean = sum / static_cast<double>(n);
-        if (n > 1) {
-            double var = 0.0;
-            for (double c : cpis) {
-                const double d = c - r.sampling.cpi_mean;
-                var += d * d;
-            }
-            r.sampling.cpi_sd =
-                std::sqrt(var / static_cast<double>(n - 1));
-            r.sampling.cpi_ci95 = 1.96 * r.sampling.cpi_sd
-                / std::sqrt(static_cast<double>(n));
-        }
-    }
-
-    r.sampling.covered = pos;
-    r.sampling.functional_instr = pos - detailed_retired;
-    recordChainWork(chain, &r.sampling);
-    r.completed = completed;
-    r.ipc = r.cycles > 0 ? static_cast<double>(r.retired)
-                               / static_cast<double>(r.cycles)
-                         : 0.0;
-    r.wall_s = std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - wall_start)
-                   .count();
-    // In sampled mode the headline throughput is stream coverage per
-    // wall second — the "paper-scale at functional speed" number.
-    r.minstr_per_s = r.wall_s > 0.0
-        ? static_cast<double>(pos) / r.wall_s / 1e6 : 0.0;
     return r;
 }
 

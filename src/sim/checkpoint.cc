@@ -1,11 +1,6 @@
 #include "sim/checkpoint.hh"
 
-#include <cstdio>
-#include <cstring>
-#include <vector>
-
 #include "casm/program.hh"
-#include "common/log.hh"
 #include "sim/functional_core.hh"
 
 namespace dmt
@@ -13,61 +8,6 @@ namespace dmt
 
 namespace
 {
-
-constexpr char kMagic[8] = {'D', 'M', 'T', 'C', 'K', 'P', 'T', '1'};
-
-void
-putU32(std::vector<u8> *buf, u32 v)
-{
-    for (int i = 0; i < 4; ++i)
-        buf->push_back(static_cast<u8>(v >> (8 * i)));
-}
-
-void
-putU64(std::vector<u8> *buf, u64 v)
-{
-    for (int i = 0; i < 8; ++i)
-        buf->push_back(static_cast<u8>(v >> (8 * i)));
-}
-
-/** Bounds-checked little-endian reader over a loaded file. */
-struct ByteReader
-{
-    const u8 *p;
-    size_t left;
-
-    bool
-    take(void *dst, size_t n)
-    {
-        if (left < n)
-            return false;
-        std::memcpy(dst, p, n);
-        p += n;
-        left -= n;
-        return true;
-    }
-
-    bool
-    u32At(u32 *v)
-    {
-        u8 b[4];
-        if (!take(b, 4))
-            return false;
-        *v = static_cast<u32>(b[0]) | static_cast<u32>(b[1]) << 8
-            | static_cast<u32>(b[2]) << 16 | static_cast<u32>(b[3]) << 24;
-        return true;
-    }
-
-    bool
-    u64At(u64 *v)
-    {
-        u32 lo, hi;
-        if (!u32At(&lo) || !u32At(&hi))
-            return false;
-        *v = static_cast<u64>(hi) << 32 | lo;
-        return true;
-    }
-};
 
 u64
 fnv1a(u64 h, const void *data, size_t n)
@@ -106,109 +46,6 @@ Checkpoint::capture(const FunctionalCore &core)
     ck.instr_count = core.instrCount();
     ck.prog_hash = programHash(core.program());
     return ck;
-}
-
-bool
-Checkpoint::save(const std::string &path) const
-{
-    std::vector<u8> buf;
-    buf.reserve(256 + mem.numPages() * (MainMemory::kPageSize + 4));
-    buf.insert(buf.end(), kMagic, kMagic + sizeof(kMagic));
-    putU64(&buf, prog_hash);
-    putU64(&buf, instr_count);
-    putU32(&buf, state.pc);
-    putU32(&buf, state.halted ? 1 : 0);
-    for (const u32 r : state.regs)
-        putU32(&buf, r);
-    putU64(&buf, state.out_count);
-    putU64(&buf, state.out_hash);
-    putU32(&buf, static_cast<u32>(state.output.size()));
-    for (const u32 v : state.output)
-        putU32(&buf, v);
-    putU32(&buf, static_cast<u32>(mem.numPages()));
-    mem.forEachPage([&](u32 idx, const u8 *bytes) {
-        putU32(&buf, idx);
-        buf.insert(buf.end(), bytes, bytes + MainMemory::kPageSize);
-    });
-
-    const std::string tmp = path + ".tmp";
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f) {
-        warn("checkpoint: cannot write %s", tmp.c_str());
-        return false;
-    }
-    const bool wrote =
-        std::fwrite(buf.data(), 1, buf.size(), f) == buf.size();
-    const bool closed = std::fclose(f) == 0;
-    if (!wrote || !closed || std::rename(tmp.c_str(), path.c_str()) != 0) {
-        warn("checkpoint: failed to persist %s", path.c_str());
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
-}
-
-bool
-Checkpoint::load(const std::string &path, u64 expect_prog_hash,
-                 Checkpoint *out, std::string *err)
-{
-    const auto fail = [&](const char *why) {
-        if (err)
-            *err = std::string(path) + ": " + why;
-        return false;
-    };
-
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return fail("cannot open");
-    std::vector<u8> buf;
-    u8 chunk[65536];
-    size_t n;
-    while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0)
-        buf.insert(buf.end(), chunk, chunk + n);
-    std::fclose(f);
-
-    ByteReader rd{buf.data(), buf.size()};
-    char magic[8];
-    if (!rd.take(magic, sizeof(magic))
-        || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
-        return fail("bad magic/version");
-
-    Checkpoint ck;
-    u32 halted = 0, out_n = 0, page_n = 0;
-    if (!rd.u64At(&ck.prog_hash) || !rd.u64At(&ck.instr_count)
-        || !rd.u32At(&ck.state.pc) || !rd.u32At(&halted))
-        return fail("truncated header");
-    if (ck.prog_hash != expect_prog_hash)
-        return fail("program hash mismatch (stale checkpoint)");
-    ck.state.halted = halted != 0;
-    for (u32 &r : ck.state.regs) {
-        if (!rd.u32At(&r))
-            return fail("truncated registers");
-    }
-    if (!rd.u64At(&ck.state.out_count) || !rd.u64At(&ck.state.out_hash)
-        || !rd.u32At(&out_n))
-        return fail("truncated output digest");
-    ck.state.output.resize(out_n);
-    for (u32 &v : ck.state.output) {
-        if (!rd.u32At(&v))
-            return fail("truncated output stream");
-    }
-    if (!rd.u32At(&page_n))
-        return fail("truncated page count");
-    for (u32 i = 0; i < page_n; ++i) {
-        u32 idx;
-        if (!rd.u32At(&idx) || rd.left < MainMemory::kPageSize)
-            return fail("truncated page data");
-        ck.mem.setPageRaw(idx, rd.p);
-        rd.p += MainMemory::kPageSize;
-        rd.left -= MainMemory::kPageSize;
-    }
-    if (rd.left != 0)
-        return fail("trailing bytes");
-
-    *out = std::move(ck);
-    return true;
 }
 
 } // namespace dmt

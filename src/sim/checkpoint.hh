@@ -5,20 +5,16 @@
  * retired-instruction position it corresponds to.  A checkpoint is
  * everything a detailed DmtEngine (or another FunctionalCore) needs to
  * resume mid-stream, so the fast-forward cost of a paper-scale prefix
- * is paid once per workload and shared across every sweep cell, and —
- * through the binary save/load format and DMT_CKPT_DIR — across
- * simulator invocations.
+ * is paid once per workload and shared, in memory, across every sweep
+ * cell of a process (exp/sampled.hh).
  *
- * The on-disk format is guarded by a magic/version header and a hash
- * of the program image (text, data, entry): a checkpoint taken against
- * a different program version refuses to load rather than silently
- * resuming nonsense state.
+ * Each checkpoint carries a hash of the program image (text, data,
+ * entry): resuming one against a different program is an assertion
+ * failure rather than silently resumed nonsense state.
  */
 
 #ifndef DMT_SIM_CHECKPOINT_HH
 #define DMT_SIM_CHECKPOINT_HH
-
-#include <string>
 
 #include "sim/arch_state.hh"
 #include "sim/mainmem.hh"
@@ -44,22 +40,6 @@ struct Checkpoint
 
     /** Snapshot a functional core's current architectural state. */
     static Checkpoint capture(const FunctionalCore &core);
-
-    /**
-     * Write the checkpoint to @p path (binary, atomic via temp-file +
-     * rename so concurrent sweep workers never observe a torn file).
-     * @return false (with a warn()) when the file cannot be written.
-     */
-    bool save(const std::string &path) const;
-
-    /**
-     * Load a checkpoint, validating magic, version and program hash.
-     * @return false when the file is missing, torn, of a different
-     *         format version, or taken against a different program;
-     *         @p err (optional) receives the reason.
-     */
-    static bool load(const std::string &path, u64 expect_prog_hash,
-                     Checkpoint *out, std::string *err = nullptr);
 };
 
 } // namespace dmt

@@ -1,6 +1,5 @@
 #include "sim/mainmem.hh"
 
-#include <algorithm>
 #include <cstring>
 
 #include "casm/program.hh"
@@ -36,28 +35,6 @@ MainMemory::loadProgram(const Program &prog)
 {
     for (size_t i = 0; i < prog.data.size(); ++i)
         write8(Program::kDataBase + static_cast<Addr>(i), prog.data[i]);
-}
-
-void
-MainMemory::forEachPage(
-    const std::function<void(u32, const u8 *)> &fn) const
-{
-    std::vector<u32> indices;
-    indices.reserve(pages.size());
-    for (const auto &[idx, page] : pages)
-        indices.push_back(idx);
-    std::sort(indices.begin(), indices.end());
-    for (const u32 idx : indices)
-        fn(idx, pages.at(idx)->data());
-}
-
-void
-MainMemory::setPageRaw(u32 index, const u8 *bytes)
-{
-    auto &slot = pages[index];
-    if (!slot)
-        slot = std::make_unique<Page>(kPageSize, 0);
-    std::memcpy(slot->data(), bytes, kPageSize);
 }
 
 bool

@@ -9,7 +9,6 @@
 #ifndef DMT_SIM_MAINMEM_HH
 #define DMT_SIM_MAINMEM_HH
 
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -70,17 +69,6 @@ class MainMemory
 
     /** Like pageData() but allocating: never nullptr. */
     u8 *pageDataWritable(Addr addr);
-
-    /**
-     * Visit every allocated page in ascending page-index order (the
-     * deterministic order checkpoints serialize in).  @p fn receives
-     * the page index and a pointer to its kPageSize bytes.
-     */
-    void forEachPage(
-        const std::function<void(u32, const u8 *)> &fn) const;
-
-    /** Install a full page's bytes at @p index (checkpoint load). */
-    void setPageRaw(u32 index, const u8 *bytes);
 
     /**
      * Sparse-page-exact equality: same allocated page set with

@@ -63,14 +63,6 @@ struct SimConfig
      *  paper speculates all loads aggressively): loads whose PC keeps
      *  getting violated wait until all earlier stores have executed. */
     bool memdep_sync = true;
-    /** Maximum concurrent threads with the same start PC (0 =
-     *  unlimited).  Bounds how many iterations/unwind levels of the
-     *  same static continuation speculate at once. */
-    int max_same_start = 0;
-    /** Pre-emption hysteresis: the order-list tail is only evicted for
-     *  a new thread once it is at least this many cycles old (damps
-     *  spawn cascades thrashing freshly created contexts). */
-    int preempt_min_age = 0;
 
     // ---- fetch --------------------------------------------------------
     int fetch_ports = 1;

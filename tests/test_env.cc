@@ -140,8 +140,8 @@ TEST(BenchRunLengthDeath, TrailingGarbageIsFatal)
 
 // ---------------------------------------------------------------------
 // DMT_SAMPLE spec parsing: the strict non-fatal SampleParams::parse()
-// layer under fromEnv(), the canonical rendering that names a sampled
-// run, and the DMT_PHASE_* defaults that only fromEnv() may consult.
+// layer under fromEnv(), and the canonical rendering that names a
+// sampled run.  The spec is the only sampling input.
 // ---------------------------------------------------------------------
 
 TEST(SampleSpec, PhaseParsesAndCanonicalizes)
@@ -150,7 +150,6 @@ TEST(SampleSpec, PhaseParsesAndCanonicalizes)
     std::string err;
     ASSERT_TRUE(SampleParams::parse("phase:20000:500:1500", &p, &err))
         << err;
-    EXPECT_TRUE(p.phaseMode());
     EXPECT_TRUE(p.enabled());
     EXPECT_EQ(p.phase.interval, 20000u);
     EXPECT_EQ(p.warm, 500u);
@@ -175,22 +174,7 @@ TEST(SampleSpec, PhaseParsesAndCanonicalizes)
     ASSERT_TRUE(SampleParams::parse(p.canonicalSpec(), &r, &err)) << err;
     EXPECT_EQ(r.canonicalSpec(), p.canonicalSpec());
 
-    // Uniform specs keep their own canonical shape, and disabled
-    // renders as "off".
-    SampleParams u;
-    ASSERT_TRUE(SampleParams::parse("1000:200:300", &u, &err)) << err;
-    EXPECT_FALSE(u.phaseMode());
-    EXPECT_TRUE(u.enabled());
-    EXPECT_EQ(u.skip, 1000u);
-    EXPECT_EQ(u.warm, 200u);
-    EXPECT_EQ(u.measure, 300u);
-    EXPECT_EQ(u.max_intervals, 0u);
-    EXPECT_EQ(u.canonicalSpec(), "1000:200:300:0");
-    ASSERT_TRUE(SampleParams::parse("1000:100:200", &u, &err)) << err;
-    EXPECT_EQ(u.canonicalSpec(), "1000:100:200:0");
-    ASSERT_TRUE(SampleParams::parse("1000:100:200:5", &u, &err)) << err;
-    EXPECT_EQ(u.max_intervals, 5u);
-    EXPECT_EQ(u.canonicalSpec(), "1000:100:200:5");
+    // Disabled renders as "off".
     EXPECT_EQ(SampleParams{}.canonicalSpec(), "off");
     SampleParams off;
     ASSERT_TRUE(SampleParams::parse("", &off, &err)) << err;
@@ -214,11 +198,12 @@ TEST(SampleSpec, PhaseRejectionsAreStructuredErrors)
         {"phase:100:5:10:65", "maxk must be 1..64"},
         {"phase:100:5:10:8:0", "dims must be 1..256"},
         {"phase:100:5:10:8:257", "dims must be 1..256"},
-        // Uniform specs go through the same strict layer.
-        {"1000:100", "skip:warm:measure[:intervals]"},
-        {"1:2:3:4:5", "skip:warm:measure[:intervals]"},
-        {"a:b:c", "bad sample spec field"},
-        {"1000:100:0", "measure window must be > 0"},
+        // Anything without the phase: prefix is answered with the
+        // grammar.
+        {"1000:100", "phase:interval:warm:measure"},
+        {"1:2:3:4:5", "phase:interval:warm:measure"},
+        {"a:b:c", "phase:interval:warm:measure"},
+        {"phases:1:2:3", "phase:interval:warm:measure"},
     };
     for (const auto &c : cases) {
         SampleParams p;
@@ -235,22 +220,21 @@ TEST(SampleSpec, PhaseRejectionsAreStructuredErrors)
 
 TEST(SampleEnv, PhaseKnobsFillOnlyOmittedFields)
 {
-    setenv("DMT_PHASE_K", "5", 1);
-    setenv("DMT_PHASE_DIMS", "32", 1);
-    setenv("DMT_PHASE_SEED", "7", 1);
-
+    // Omitted trailing fields take the PhaseParams defaults; explicit
+    // fields always win; fromEnv() reads DMT_SAMPLE and nothing else,
+    // so it agrees with parse() on the same spec.
+    const PhaseParams defaults;
     setenv("DMT_SAMPLE", "phase:20000:500:1500", 1);
     SampleParams p = SampleParams::fromEnv();
-    EXPECT_EQ(p.phase.max_k, 5u);
-    EXPECT_EQ(p.phase.dims, 32u);
-    EXPECT_EQ(p.phase.seed, 7u);
+    EXPECT_EQ(p.phase.max_k, defaults.max_k);
+    EXPECT_EQ(p.phase.dims, defaults.dims);
+    EXPECT_EQ(p.phase.seed, defaults.seed);
 
-    // An explicit spec field always beats its env default.
     setenv("DMT_SAMPLE", "phase:20000:500:1500:9", 1);
     p = SampleParams::fromEnv();
     EXPECT_EQ(p.phase.max_k, 9u);
-    EXPECT_EQ(p.phase.dims, 32u);
-    EXPECT_EQ(p.phase.seed, 7u);
+    EXPECT_EQ(p.phase.dims, defaults.dims);
+    EXPECT_EQ(p.phase.seed, defaults.seed);
 
     setenv("DMT_SAMPLE", "phase:20000:500:1500:9:8:1", 1);
     p = SampleParams::fromEnv();
@@ -258,20 +242,12 @@ TEST(SampleEnv, PhaseKnobsFillOnlyOmittedFields)
     EXPECT_EQ(p.phase.dims, 8u);
     EXPECT_EQ(p.phase.seed, 1u);
 
-    // The env knobs never touch uniform specs or direct parse() calls.
-    setenv("DMT_SAMPLE", "1000:200:300", 1);
-    p = SampleParams::fromEnv();
-    EXPECT_FALSE(p.phaseMode());
+    SampleParams q;
     std::string err;
-    ASSERT_TRUE(
-        SampleParams::parse("phase:20000:500:1500", &p, &err)) << err;
-    EXPECT_EQ(p.phase.max_k, 8u)
-        << "parse() must stay hermetic: only fromEnv() reads the env";
-
+    ASSERT_TRUE(SampleParams::parse("phase:20000:500:1500:9:8:1", &q,
+                                    &err)) << err;
+    EXPECT_EQ(q.canonicalSpec(), p.canonicalSpec());
     unsetenv("DMT_SAMPLE");
-    unsetenv("DMT_PHASE_K");
-    unsetenv("DMT_PHASE_DIMS");
-    unsetenv("DMT_PHASE_SEED");
 }
 
 TEST(SampleEnvDeath, PhaseGarbageAndRangeAreFatal)
@@ -282,19 +258,27 @@ TEST(SampleEnvDeath, PhaseGarbageAndRangeAreFatal)
     EXPECT_DEATH(SampleParams::fromEnv(), "interval length");
     setenv("DMT_SAMPLE", "phase:100:5:10:99", 1);
     EXPECT_DEATH(SampleParams::fromEnv(), "maxk");
+    setenv("DMT_SAMPLE", "phase:100:5:10:8:257", 1);
+    EXPECT_DEATH(SampleParams::fromEnv(), "dims");
+    setenv("DMT_SAMPLE", "phase:100:5:10:8:16:4two", 1);
+    EXPECT_DEATH(SampleParams::fromEnv(), "bad sample spec field");
+    unsetenv("DMT_SAMPLE");
+}
 
-    setenv("DMT_SAMPLE", "phase:20000:500:1500", 1);
-    setenv("DMT_PHASE_K", "5x", 1);
-    EXPECT_DEATH(SampleParams::fromEnv(), "DMT_PHASE_K");
-    setenv("DMT_PHASE_K", "0", 1);
-    EXPECT_DEATH(SampleParams::fromEnv(), "out of range");
-    unsetenv("DMT_PHASE_K");
-    setenv("DMT_PHASE_DIMS", "257", 1);
-    EXPECT_DEATH(SampleParams::fromEnv(), "out of range");
-    unsetenv("DMT_PHASE_DIMS");
-    setenv("DMT_PHASE_SEED", "4two", 1);
-    EXPECT_DEATH(SampleParams::fromEnv(), "DMT_PHASE_SEED");
-    unsetenv("DMT_PHASE_SEED");
+TEST(SampleEnvDeath, UniformSpecIsRejected)
+{
+    // The retired skip:warm:measure grammar is an error that names the
+    // phase: grammar, never a silently different run.
+    SampleParams p;
+    std::string err;
+    EXPECT_FALSE(SampleParams::parse("1000:200:300", &p, &err));
+    EXPECT_NE(err.find("phase:interval:warm:measure"), std::string::npos)
+        << err;
+    EXPECT_FALSE(p.enabled());
+
+    setenv("DMT_SAMPLE", "1000:200:300", 1);
+    EXPECT_DEATH(SampleParams::fromEnv(),
+                 "DMT_SAMPLE=\"1000:200:300\".*phase:interval");
     unsetenv("DMT_SAMPLE");
 }
 

@@ -41,8 +41,7 @@ const struct EnvSanitizer
              {"DMT_FAULT", "DMT_FAULT_RATE", "DMT_FAULT_SEED",
               "DMT_TRACE", "DMT_TRACE_FILE", "DMT_TRACE_COUNTERS_FILE",
               "DMT_TRACE_SAMPLE", "DMT_TRACE_RING", "DMT_WATCHDOG",
-              "DMT_AUDIT", "DMT_BENCH_INSTR", "DMT_SAMPLE",
-              "DMT_CKPT_DIR"})
+              "DMT_AUDIT", "DMT_BENCH_INSTR", "DMT_SAMPLE"})
             unsetenv(v);
     }
 } env_sanitizer;

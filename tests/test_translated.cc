@@ -16,10 +16,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -50,8 +47,7 @@ const struct EnvSanitizer
              {"DMT_FAULT", "DMT_FAULT_RATE", "DMT_FAULT_SEED",
               "DMT_TRACE", "DMT_TRACE_FILE", "DMT_TRACE_COUNTERS_FILE",
               "DMT_TRACE_SAMPLE", "DMT_TRACE_RING", "DMT_WATCHDOG",
-              "DMT_AUDIT", "DMT_BENCH_INSTR", "DMT_SAMPLE",
-              "DMT_CKPT_DIR"})
+              "DMT_AUDIT", "DMT_BENCH_INSTR", "DMT_SAMPLE"})
             unsetenv(v);
     }
 } env_sanitizer;
@@ -300,9 +296,11 @@ TEST(Translated, InvalidateAllRetranslatesExactly)
 
 TEST(Translated, CheckpointBytesIdenticalAcrossEngines)
 {
-    // A checkpoint captured after a translated run must serialize to
-    // the same bytes as one captured from a core restore()d from the
-    // functionalStep() reference at the same position.
+    // A checkpoint captured after a translated run must hold exactly
+    // the state of one captured from a core restore()d from the
+    // functionalStep() reference at the same position: every
+    // architectural field, the sparse page set and its bytes, the
+    // position and the program hash.
     const Program prog = buildWorkload("compress");
     const u64 pos = 100000;
 
@@ -317,22 +315,18 @@ TEST(Translated, CheckpointBytesIdenticalAcrossEngines)
     FunctionalCore restored(prog);
     restored.restore(ref.state(), ref.memory(), ref.instrCount());
     const Checkpoint b = Checkpoint::capture(restored);
+
     EXPECT_EQ(a.instr_count, b.instr_count);
     EXPECT_EQ(a.prog_hash, b.prog_hash);
-
-    auto file_bytes = [](const std::string &path) {
-        std::ifstream in(path, std::ios::binary);
-        std::ostringstream os;
-        os << in.rdbuf();
-        return os.str();
-    };
-    const std::string pa = "xckpt_translated.ckpt";
-    const std::string pb = "xckpt_reference.ckpt";
-    ASSERT_TRUE(a.save(pa));
-    ASSERT_TRUE(b.save(pb));
-    EXPECT_EQ(file_bytes(pa), file_bytes(pb));
-    std::remove(pa.c_str());
-    std::remove(pb.c_str());
+    EXPECT_EQ(a.prog_hash, Checkpoint::programHash(prog));
+    EXPECT_EQ(a.state.pc, b.state.pc);
+    EXPECT_EQ(a.state.halted, b.state.halted);
+    EXPECT_EQ(a.state.regs, b.state.regs);
+    EXPECT_EQ(a.state.output, b.state.output);
+    EXPECT_EQ(a.state.stream_output, b.state.stream_output);
+    EXPECT_EQ(a.state.out_count, b.state.out_count);
+    EXPECT_EQ(a.state.out_hash, b.state.out_hash);
+    EXPECT_TRUE(a.mem == b.mem);
 }
 
 TEST(Translated, CheckpointRestoreMidBlockResumesExactly)
@@ -359,18 +353,21 @@ TEST(Translated, SampledRunsByteIdenticalAcrossEngines)
     // Sampled fast-forward runs through the translated engine, and the
     // run's telemetry says so.  (Byte identity of the results against
     // the step oracle is the checkpoint test above; the end-to-end
-    // bytes are pinned by tests/golden/sampled_go.json.)
+    // bytes are pinned by tests/golden/phase_go.json.)
     SampleParams p;
-    p.skip = 40000;
-    p.warm = 400;
-    p.measure = 1200;
-    p.max_intervals = 3;
+    std::string err;
+    ASSERT_TRUE(SampleParams::parse("phase:20000:400:1200", &p, &err))
+        << err;
 
     clearCheckpointCache();
-    const RunResult r = runWorkloadSampled(SimConfig::dmt(6, 2), "go", p);
+    clearPhaseCache();
+    const RunResult r =
+        runWorkloadSampled(SimConfig::dmt(6, 2), "go", p, 200000);
     clearCheckpointCache();
+    clearPhaseCache();
 
-    EXPECT_EQ(r.sampling.intervals, 3u);
+    EXPECT_GE(r.sampling.intervals, 1u);
+    EXPECT_EQ(r.sampling.phase_intervals, 10u);
     EXPECT_GT(r.sampling.ff_blocks_translated, 0u);
     EXPECT_GT(r.sampling.ff_chain_hits, 0u);
 }
