@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/env.hh"
 #include "common/json.hh"
 #include "common/log.hh"
 #include "common/strutil.hh"
@@ -41,8 +42,7 @@ struct BenchColumn
 inline bool
 benchQuiet()
 {
-    const char *q = std::getenv("DMT_BENCH_QUIET");
-    return q && *q && *q != '0';
+    return parseEnvU64("DMT_BENCH_QUIET", 0, 0, 1) != 0;
 }
 
 /** The whole suite x a machine list, as cells[workload][machine]. */

@@ -205,7 +205,9 @@ main(int argc, char **argv)
     std::printf("running %s on %s ...\n", name.c_str(),
                 cfg.summary().c_str());
     const Program prog = buildWorkload(name);
-    DmtEngine engine(cfg, prog);
+    // The engine reads no environment; DMT_FAULT, DMT_TRACE and the
+    // other run-control knobs apply here, as in the runner funnel.
+    DmtEngine engine(withEnvKnobs(cfg), prog);
     try {
         engine.run();
     } catch (const SimError &err) {
@@ -225,6 +227,10 @@ main(int argc, char **argv)
     engine.stats().registerAll(group);
     std::fputs(group.dump().c_str(), stdout);
     std::printf("%s.ipc %38.3f\n", name.c_str(), engine.stats().ipc());
+    if (engine.faults().enabled())
+        std::printf("fault injections: %llu\n",
+                    static_cast<unsigned long long>(
+                        engine.faults().injectedTotal()));
     std::printf("golden check: PASS (%llu instructions verified)\n",
                 static_cast<unsigned long long>(
                     engine.stats().retired.value()));

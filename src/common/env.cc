@@ -65,20 +65,4 @@ parseEnvU64(const char *name, u64 def, u64 min_value, u64 max_value)
     return v;
 }
 
-double
-parseEnvF64(const char *name, double def, double min_value,
-            double max_value)
-{
-    const char *env = std::getenv(name);
-    if (!env || !*env)
-        return def;
-    double v = 0.0;
-    if (!parseF64(env, &v))
-        fatal("%s: '%s' is not a valid number", name, env);
-    if (v < min_value || v > max_value)
-        fatal("%s: %g out of range [%g, %g]", name, v, min_value,
-              max_value);
-    return v;
-}
-
 } // namespace dmt

@@ -14,6 +14,7 @@
 #ifndef DMT_COMMON_ENV_HH
 #define DMT_COMMON_ENV_HH
 
+#include <string>
 #include <string_view>
 
 #include "common/types.hh"
@@ -35,6 +36,16 @@ bool parseU64(std::string_view s, u64 *out);
  */
 bool parseF64(std::string_view s, double *out);
 
+/** Spec-parser error exit: store @p msg through @p err when non-null
+ *  and return false, so a parser can `return specError(err, ...)`. */
+inline bool
+specError(std::string *err, const std::string &msg)
+{
+    if (err)
+        *err = msg;
+    return false;
+}
+
 /**
  * Read the environment variable @p name as a u64 in [@p min, @p max].
  * Unset or empty returns @p def; garbage, overflow or a value outside
@@ -42,14 +53,6 @@ bool parseF64(std::string_view s, double *out);
  */
 u64 parseEnvU64(const char *name, u64 def, u64 min_value = 0,
                 u64 max_value = ~u64{0});
-
-/**
- * Read the environment variable @p name as a finite double in
- * [@p min, @p max].  Unset or empty returns @p def; garbage or a value
- * outside the range is fatal().
- */
-double parseEnvF64(const char *name, double def, double min_value,
-                   double max_value);
 
 } // namespace dmt
 

@@ -40,6 +40,20 @@ splitFields(std::string_view s, std::string_view seps)
 }
 
 std::vector<std::string>
+splitExact(std::string_view s, char sep)
+{
+    std::vector<std::string> out;
+    size_t start = 0;
+    for (size_t i = 0; i <= s.size(); ++i) {
+        if (i == s.size() || s[i] == sep) {
+            out.emplace_back(s.substr(start, i - start));
+            start = i + 1;
+        }
+    }
+    return out;
+}
+
+std::vector<std::string>
 splitLines(std::string_view s)
 {
     std::vector<std::string> out;

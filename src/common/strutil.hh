@@ -22,6 +22,10 @@ std::string_view trim(std::string_view s);
 std::vector<std::string> splitFields(std::string_view s,
                                      std::string_view seps);
 
+/** Split on @p sep, keeping empty fields, so a spec parser can reject
+ *  "a::b" or a trailing separator instead of silently skipping them. */
+std::vector<std::string> splitExact(std::string_view s, char sep);
+
 /** Split @p s into lines (without terminators). */
 std::vector<std::string> splitLines(std::string_view s);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "common/env.hh"
 #include "common/strutil.hh"
 #include "fault/auditor.hh"
 #include "fault/postmortem.hh"
@@ -29,16 +28,8 @@ DmtEngine::DmtEngine(const SimConfig &cfg_, const Program &prog_,
       fus(cfg_.unlimited_fus, cfg_.fus, cfg_.lat_div)
 {
     cfg.validate();
-    if (const char *dbg = std::getenv("DMT_DEBUG"))
-        debug_trace = dbg[0] != '0';
-    cfg.watchdog_cycles = parseEnvU64("DMT_WATCHDOG", cfg.watchdog_cycles);
-    cfg.audit_period = static_cast<int>(
-        parseEnvU64("DMT_AUDIT", static_cast<u64>(cfg.audit_period), 0,
-                    static_cast<u64>(INT32_MAX)));
-    if (const char *crash = std::getenv("DMT_CRASH_FILE"))
-        cfg.crash_file = crash;
-    tracer_.configure(traceOptionsFromEnv(cfg.trace));
-    injector_.configure(faultOptionsFromEnv(cfg.fault));
+    tracer_.configure(cfg.trace);
+    injector_.configure(cfg.fault);
     if (resume) {
         DMT_ASSERT(!resume->state.halted,
                    "cannot resume from a halted checkpoint");
@@ -412,10 +403,6 @@ DmtEngine::inThreadSquash(ThreadContext &t, u64 from_tb_id,
                           Addr new_fetch_pc,
                           const BranchCheckpoint *checkpoint)
 {
-    if (debug_trace)
-        std::fprintf(stderr, "[%llu] inThreadSquash tid=%d from=%llu "
-                     "redirect=0x%x\n", (unsigned long long)now_, t.id,
-                     (unsigned long long)from_tb_id, new_fetch_pc);
     // Frontend: everything fetched but not dispatched is younger than
     // any dispatched instruction.
     t.fq.clear();
@@ -509,9 +496,6 @@ void
 DmtEngine::squashThread(ThreadContext &t)
 {
     DMT_ASSERT(t.active, "squashing inactive thread");
-    if (debug_trace)
-        std::fprintf(stderr, "[%llu] squashThread tid=%d start=0x%x\n",
-                     (unsigned long long)now_, t.id, t.start_pc);
 
     t.fq.clear();
     for (const DynRef &ref : t.pipe) {

@@ -56,6 +56,10 @@ class DmtEngine : public OrderOracle
 {
   public:
     /**
+     * The engine reads no environment: @p cfg is its whole
+     * configuration (harnesses apply the DMT_* run-control knobs with
+     * withEnvKnobs() in exp/runner.hh).
+     *
      * @param resume optional architectural checkpoint to start from:
      *        mid-stream PC, registers and memory replace the program's
      *        entry conditions, and the golden checker is forked from
@@ -119,7 +123,7 @@ class DmtEngine : public OrderOracle
     /** Telemetry front door (sink injection, ring readback). */
     Tracer &tracer() { return tracer_; }
 
-    /** Fault injector (configured from cfg.fault + DMT_FAULT env). */
+    /** Fault injector (configured from cfg.fault). */
     const FaultInjector &faults() const { return injector_; }
 
     // OrderOracle: program order of two dynamic memory operations.
@@ -129,9 +133,6 @@ class DmtEngine : public OrderOracle
     /** Observation hook invoked for every finally-retired entry (after
      *  its effects committed).  Used by tests and trace tooling. */
     std::function<void(const TBEntry &, ThreadId)> retire_hook;
-
-    /** Debug event tracing to stderr (set via DMT_DEBUG=1). */
-    bool debug_trace = false;
 
   private:
     friend class EngineInspector;   // white-box testing hook

@@ -40,10 +40,6 @@ DmtEngine::fetchForThread(ThreadContext &t, int max_insts)
             t.stopped = true;
             emitTrace(TraceStage::Fetch, TraceEventKind::ThreadStop,
                       t.id, t.pc);
-            if (debug_trace)
-                std::fprintf(stderr, "[%llu] stop tid=%d at pc=0x%x "
-                             "succ=%d\n", (unsigned long long)now_, t.id,
-                             t.pc, succ);
             return;
         }
 

@@ -396,10 +396,6 @@ DmtEngine::fullyRetireThread(ThreadContext &t)
     for (auto &waiters : io_waiters[static_cast<size_t>(t.id)])
         waiters.clear();
     head_validated = false;
-    if (debug_trace)
-        std::fprintf(stderr, "[%llu] fullyRetired tid=%d start=0x%x "
-                     "retired=%llu\n", (unsigned long long)now_, t.id,
-                     t.start_pc, (unsigned long long)t.retired_count);
 }
 
 void

@@ -1,12 +1,16 @@
 #include "exp/runner.hh"
 
 #include <chrono>
+#include <cstdint>
+#include <cstdlib>
 
 #include "common/env.hh"
 #include "common/json.hh"
 #include "common/log.hh"
 #include "dmt/engine.hh"
 #include "exp/sampled.hh"
+#include "fault/injector.hh"
+#include "trace/tracer.hh"
 #include "workloads/generator.hh"
 #include "workloads/workloads.hh"
 
@@ -112,13 +116,35 @@ benchRunLength()
     return v > 0 ? v : 60000;
 }
 
+SimConfig
+withEnvKnobs(SimConfig cfg)
+{
+    std::string err;
+    if (const char *v = std::getenv("DMT_FAULT"); v && *v
+        && !parseFaultSpec(v, &cfg.fault, &err)) {
+        fatal("DMT_FAULT=\"%s\": %s", v, err.c_str());
+    }
+    if (const char *v = std::getenv("DMT_TRACE"); v && *v
+        && !parseTraceSpec(v, &cfg.trace, &err)) {
+        fatal("DMT_TRACE=\"%s\": %s", v, err.c_str());
+    }
+    cfg.watchdog_cycles = parseEnvU64("DMT_WATCHDOG", cfg.watchdog_cycles);
+    cfg.audit_period = static_cast<int>(
+        parseEnvU64("DMT_AUDIT", static_cast<u64>(cfg.audit_period), 0,
+                    static_cast<u64>(INT32_MAX)));
+    if (const char *crash = std::getenv("DMT_CRASH_FILE"))
+        cfg.crash_file = crash;
+    return cfg;
+}
+
 RunResult
 runWorkload(const SimConfig &cfg, const std::string &workload,
             u64 max_retired)
 {
-    // Sampled mode (DMT_SAMPLE) reroutes the whole funnel: benches and
-    // sweeps get phase sampling without knowing about it.
-    return runWorkloadJob(cfg, workload, max_retired,
+    // The harness boundary: run-control knobs and sampled mode
+    // (DMT_SAMPLE) reroute the whole funnel, so benches and sweeps get
+    // them without knowing about it.
+    return runWorkloadJob(withEnvKnobs(cfg), workload, max_retired,
                           SampleParams::fromEnv());
 }
 

@@ -133,14 +133,24 @@ struct RunResult
 u64 benchRunLength();
 
 /**
+ * @p cfg with the run-control knobs applied: DMT_FAULT (parseFaultSpec()),
+ * DMT_TRACE (parseTraceSpec()), DMT_WATCHDOG, DMT_AUDIT and
+ * DMT_CRASH_FILE.  The only place they are read; engines read no
+ * environment.  Unset or empty knobs leave @p cfg alone (an empty
+ * DMT_CRASH_FILE turns the post-mortem file off); a malformed value is
+ * fatal(), naming the variable.
+ */
+SimConfig withEnvKnobs(SimConfig cfg);
+
+/**
  * Simulate @p workload (a suite name from workloadSuite()) on @p cfg,
  * retiring at most @p max_retired instructions (0 = benchRunLength()).
  * Golden checking stays enabled: a bench producing wrong execution
  * aborts rather than reporting garbage.
  *
- * When DMT_SAMPLE is set
- * ("phase:interval:warm:measure[:maxk[:dims[:seed]]]") the run is
- * routed through runWorkloadSampled() instead: detailed simulation
+ * The config passes through withEnvKnobs() first.  When DMT_SAMPLE
+ * is set ("phase:interval:warm:measure[:maxk[:dims[:seed]]]") the run
+ * is routed through runWorkloadSampled() instead: detailed simulation
  * covers one window per phase representative and checkpointed
  * functional fast-forward covers the rest, so every bench and sweep
  * built on this funnel gains paper-scale coverage without code
@@ -152,9 +162,10 @@ RunResult runWorkload(const SimConfig &cfg, const std::string &workload,
 struct SampleParams;
 
 /**
- * runWorkload() with the sampling decision passed explicitly instead
- * of read from DMT_SAMPLE, for callers that must not depend on the
- * environment.  runWorkload() itself delegates here.
+ * runWorkload() with the config used as given and the sampling
+ * decision passed explicitly instead of read from DMT_SAMPLE, for
+ * callers that must not depend on the environment.  runWorkload()
+ * itself delegates here.
  */
 RunResult runWorkloadJob(const SimConfig &cfg,
                          const std::string &workload, u64 max_retired,

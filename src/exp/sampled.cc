@@ -64,18 +64,13 @@ SampleParams::parse(std::string_view spec, SampleParams *out,
     const std::vector<std::string> parts = t.rfind("phase:", 0) == 0
         ? splitFields(t.substr(6), ":")
         : std::vector<std::string>{};
-    if (parts.size() < 3 || parts.size() > 6) {
-        if (err)
-            *err = kSpecGrammar;
-        return false;
-    }
+    if (parts.size() < 3 || parts.size() > 6)
+        return specError(err, kSpecGrammar);
     u64 v[6] = {0, 0, 0, 0, 0, 0};
     for (size_t i = 0; i < parts.size(); ++i) {
-        if (!parseU64(parts[i], &v[i])) {
-            if (err)
-                *err = "bad sample spec field \"" + parts[i] + "\"";
-            return false;
-        }
+        if (!parseU64(parts[i], &v[i]))
+            return specError(err,
+                             "bad sample spec field \"" + parts[i] + "\"");
     }
     out->phase.interval = v[0];
     out->warm = v[1];
@@ -86,29 +81,18 @@ SampleParams::parse(std::string_view spec, SampleParams *out,
         out->phase.dims = v[4];
     if (parts.size() > 5)
         out->phase.seed = v[5];
-    if (out->phase.interval == 0) {
-        if (err)
-            *err = "phase interval length must be > 0";
-        return false;
-    }
-    if (out->measure == 0) {
-        if (err)
-            *err = "sample measure window must be > 0";
-        return false;
-    }
-    if (out->phase.max_k < 1 || out->phase.max_k > kPhaseMaxK) {
-        if (err)
-            *err = strprintf("phase maxk must be 1..%llu",
-                             static_cast<unsigned long long>(kPhaseMaxK));
-        return false;
-    }
-    if (out->phase.dims < 1 || out->phase.dims > kPhaseMaxDims) {
-        if (err)
-            *err = strprintf("phase dims must be 1..%llu",
-                             static_cast<unsigned long long>(
-                                 kPhaseMaxDims));
-        return false;
-    }
+    if (out->phase.interval == 0)
+        return specError(err, "phase interval length must be > 0");
+    if (out->measure == 0)
+        return specError(err, "sample measure window must be > 0");
+    if (out->phase.max_k < 1 || out->phase.max_k > kPhaseMaxK)
+        return specError(err, strprintf("phase maxk must be 1..%llu",
+                                        static_cast<unsigned long long>(
+                                            kPhaseMaxK)));
+    if (out->phase.dims < 1 || out->phase.dims > kPhaseMaxDims)
+        return specError(err, strprintf("phase dims must be 1..%llu",
+                                        static_cast<unsigned long long>(
+                                            kPhaseMaxDims)));
     return true;
 }
 

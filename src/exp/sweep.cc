@@ -8,7 +8,6 @@
 #include "common/env.hh"
 #include "common/json.hh"
 #include "common/log.hh"
-#include "trace/tracer.hh"
 
 namespace dmt
 {
@@ -30,7 +29,7 @@ secondsSince(Clock::time_point start)
 bool
 jobWritesTraceFiles(const SweepJob &job)
 {
-    const TraceOptions t = traceOptionsFromEnv(job.cfg.trace);
+    const TraceOptions t = withEnvKnobs(job.cfg).trace;
     return t.enabled && (t.chrome || t.counters);
 }
 

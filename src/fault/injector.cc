@@ -1,11 +1,9 @@
 #include "fault/injector.hh"
 
-#include <cstdlib>
-#include <cstring>
-#include <string>
+#include <vector>
 
 #include "common/env.hh"
-#include "common/log.hh"
+#include "common/strutil.hh"
 
 namespace dmt
 {
@@ -69,51 +67,52 @@ FaultInjector::offered(FaultSite site) const
     return offered_[static_cast<int>(site)];
 }
 
-FaultOptions
-faultOptionsFromEnv(FaultOptions base)
+bool
+parseFaultSpec(std::string_view spec, FaultOptions *out, std::string *err)
 {
-    const char *spec = std::getenv("DMT_FAULT");
-    const double env_rate = parseEnvF64("DMT_FAULT_RATE", 0.01, 0.0, 1.0);
-
-    if (spec && *spec) {
-        std::string s(spec);
-        if (s == "0" || s == "off") {
-            base.enabled = false;
+    const std::vector<std::string> fields = splitExact(trim(spec), ':');
+    FaultOptions o = *out;
+    double rate = 0.01;
+    for (size_t i = 1; i < fields.size(); ++i) {
+        const std::string &f = fields[i];
+        const size_t eq = f.find('=');
+        const std::string key = f.substr(0, eq);
+        const std::string val =
+            eq == std::string::npos ? std::string() : f.substr(eq + 1);
+        if (key == "rate") {
+            if (!parseF64(val, &rate) || rate < 0.0 || rate > 1.0)
+                return specError(err, "fault rate must be a number in "
+                                      "[0, 1], got '" + val + "'");
+        } else if (key == "seed") {
+            if (!parseU64(val, &o.seed))
+                return specError(err, "bad fault seed '" + val + "'");
         } else {
-            base.enabled = true;
-            size_t pos = 0;
-            while (pos <= s.size()) {
-                size_t comma = s.find(',', pos);
-                if (comma == std::string::npos)
-                    comma = s.size();
-                const std::string tok = s.substr(pos, comma - pos);
-                pos = comma + 1;
-                if (tok.empty())
-                    continue;
-                if (tok == "1" || tok == "on" || tok == "all") {
-                    for (int i = 0; i < kNumFaultSites; ++i) {
-                        if (base.rate[i] <= 0.0)
-                            base.rate[i] = env_rate;
-                    }
-                    continue;
-                }
-                bool known = false;
-                for (int i = 0; i < kNumFaultSites; ++i) {
-                    if (tok == faultSiteName(static_cast<FaultSite>(i))) {
-                        if (base.rate[i] <= 0.0)
-                            base.rate[i] = env_rate;
-                        known = true;
-                    }
-                }
-                if (!known)
-                    warn("DMT_FAULT: unknown site '%s' ignored",
-                         tok.c_str());
-            }
+            return specError(err, "unknown fault field '" + f
+                                      + "' (expected rate=R or seed=S)");
         }
     }
 
-    base.seed = parseEnvU64("DMT_FAULT_SEED", base.seed);
-    return base;
+    const std::string &sites = fields[0];
+    o.enabled = !(sites == "off" || sites == "0");
+    for (const std::string &tok :
+         o.enabled ? splitExact(sites, ',') : std::vector<std::string>{}) {
+        const bool all = tok == "all" || tok == "1" || tok == "on";
+        bool known = all;
+        for (int i = 0; i < kNumFaultSites; ++i) {
+            if (all || tok == faultSiteName(static_cast<FaultSite>(i))) {
+                o.rate[i] = rate;
+                known = true;
+            }
+        }
+        if (!known)
+            return specError(err, "unknown fault site '" + tok
+                                      + "' (sites: spawn-input, "
+                                        "dataflow-value, load-value, "
+                                        "spawn-decision, "
+                                        "branch-prediction, all, off)");
+    }
+    *out = o;
+    return true;
 }
 
 } // namespace dmt

@@ -13,6 +13,9 @@
 #ifndef DMT_FAULT_INJECTOR_HH
 #define DMT_FAULT_INJECTOR_HH
 
+#include <string>
+#include <string_view>
+
 #include "common/rng.hh"
 #include "fault/options.hh"
 
@@ -57,8 +60,6 @@ class FaultInjector
     /** Opportunities offered at @p site (enabled runs only). */
     u64 offered(FaultSite site) const;
 
-    const FaultOptions &options() const { return opts_; }
-
   private:
     bool roll(FaultSite site);
     Rng &valueRng(FaultSite site);
@@ -72,17 +73,19 @@ class FaultInjector
 };
 
 /**
- * Apply environment overrides on top of @p base:
+ * Parse a fault spec "sites[:rate=R][:seed=S]" on top of @p out.
  *
- *  - DMT_FAULT: comma-separated site list ("spawn-input",
- *    "dataflow-value", "load-value", "spawn-decision",
- *    "branch-prediction"), or "1"/"all" for every site; "0"/"off"
- *    forces injection off.  Selected sites get DMT_FAULT_RATE (default
- *    0.01) unless the config already set a nonzero rate.
- *  - DMT_FAULT_RATE: per-opportunity probability for selected sites.
- *  - DMT_FAULT_SEED: deterministic stream seed.
+ *  - sites: comma-separated list of faultSiteName()s, or "all" (also
+ *    "1"/"on") for every site; "off" (also "0") disables injection.
+ *  - rate: per-opportunity probability in [0, 1] for the selected
+ *    sites (default 0.01); other sites keep their rate.
+ *  - seed: deterministic stream seed (default: keep @p out's).
+ *
+ * @retval false with a message in @p err (when non-null) on an unknown
+ *         site or field, or a bad number; @p out is then unchanged.
  */
-FaultOptions faultOptionsFromEnv(FaultOptions base);
+bool parseFaultSpec(std::string_view spec, FaultOptions *out,
+                    std::string *err);
 
 } // namespace dmt
 

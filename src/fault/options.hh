@@ -2,9 +2,8 @@
  * @file
  * Fault-injection configuration embedded in SimConfig (the `fault`
  * member).  A plain aggregate, like trace/options.hh, so the config
- * layer does not depend on the injector machinery.  Environment
- * overrides (DMT_FAULT et al.) are applied by faultOptionsFromEnv() in
- * fault/injector.hh.
+ * layer does not depend on the injector machinery.  parseFaultSpec()
+ * in fault/injector.hh reads the DMT_FAULT spec grammar into one.
  *
  * The fault contract: every site corrupts *speculative-only* state —
  * state the paper's recovery machinery (trace-buffer walks, dependency

@@ -3,8 +3,8 @@
  * Telemetry configuration embedded in SimConfig (the `trace` member).
  * A plain aggregate so the config layer does not depend on the trace
  * subsystem's machinery; kept in src/trace because it is the trace
- * subsystem's contract.  Environment overrides (DMT_TRACE et al.) are
- * applied by traceOptionsFromEnv() in trace/tracer.hh.
+ * subsystem's contract.  parseTraceSpec() in trace/tracer.hh reads the
+ * DMT_TRACE spec grammar into one.
  */
 
 #ifndef DMT_TRACE_OPTIONS_HH

@@ -1,11 +1,10 @@
 #include "trace/tracer.hh"
 
-#include <cstdlib>
-#include <cstring>
-#include <string>
+#include <vector>
 
 #include "common/env.hh"
 #include "common/log.hh"
+#include "common/strutil.hh"
 #include "trace/chrome_sink.hh"
 #include "trace/counters_sink.hh"
 #include "trace/ring_sink.hh"
@@ -79,58 +78,60 @@ Tracer::finish()
         snk->finish();
 }
 
-TraceOptions
-traceOptionsFromEnv(TraceOptions base)
+bool
+parseTraceSpec(std::string_view spec, TraceOptions *out, std::string *err)
 {
-    const char *spec = std::getenv("DMT_TRACE");
-    if (spec && *spec) {
-        std::string s(spec);
-        if (s == "0" || s == "off") {
-            base.enabled = false;
+    const std::vector<std::string> fields = splitExact(trim(spec), ':');
+    TraceOptions o = *out;
+    for (size_t i = 1; i < fields.size(); ++i) {
+        const std::string &f = fields[i];
+        const size_t eq = f.find('=');
+        if (eq == std::string::npos || eq + 1 == f.size())
+            return specError(err, "trace field '" + f + "' is not "
+                                  "key=value (file paths may not "
+                                  "contain ':')");
+        const std::string key = f.substr(0, eq);
+        const std::string val = f.substr(eq + 1);
+        u64 n = 0;
+        if (key == "file") {
+            o.chrome_file = val;
+        } else if (key == "counters_file") {
+            o.counters_file = val;
+        } else if (key != "sample" && key != "ring") {
+            return specError(err, "unknown trace field '" + key
+                                      + "' (expected file, "
+                                        "counters_file, sample or ring)");
+        } else if (!parseU64(val, &n) || n < 1 || n > (1u << 30)) {
+            return specError(err, "trace " + key + " must be an integer "
+                                  "in [1, 2^30], got '" + val + "'");
+        } else if (key == "sample") {
+            o.sample_period = static_cast<int>(n);
         } else {
-            base.enabled = true;
-            // "1" keeps whatever the config selected (default: ring).
-            size_t pos = 0;
-            while (pos <= s.size()) {
-                size_t comma = s.find(',', pos);
-                if (comma == std::string::npos)
-                    comma = s.size();
-                std::string tok = s.substr(pos, comma - pos);
-                pos = comma + 1;
-                if (tok.empty() || tok == "1" || tok == "on")
-                    continue;
-                if (tok == "ring")
-                    base.ring = true;
-                else if (tok == "chrome")
-                    base.chrome = true;
-                else if (tok == "counters")
-                    base.counters = true;
-                else if (tok == "insts")
-                    base.insts = true;
-                else
-                    warn("DMT_TRACE: unknown sink '%s' ignored",
-                         tok.c_str());
-            }
+            o.ring = true;
+            o.ring_capacity = static_cast<int>(n);
         }
     }
 
-    if (const char *file = std::getenv("DMT_TRACE_FILE"); file && *file)
-        base.chrome_file = file;
-    if (const char *file = std::getenv("DMT_TRACE_COUNTERS_FILE");
-        file && *file) {
-        base.counters_file = file;
+    const std::string &sinks = fields[0];
+    o.enabled = !(sinks == "off" || sinks == "0");
+    for (const std::string &tok :
+         o.enabled ? splitExact(sinks, ',') : std::vector<std::string>{}) {
+        // "1"/"on" keep the configured selection (default: ring).
+        if (tok == "ring")
+            o.ring = true;
+        else if (tok == "chrome")
+            o.chrome = true;
+        else if (tok == "counters")
+            o.counters = true;
+        else if (tok == "insts")
+            o.insts = true;
+        else if (tok != "1" && tok != "on")
+            return specError(err, "unknown trace sink '" + tok
+                                      + "' (sinks: ring, chrome, "
+                                        "counters, insts, on, off)");
     }
-    base.sample_period = static_cast<int>(
-        parseEnvU64("DMT_TRACE_SAMPLE",
-                    static_cast<u64>(base.sample_period), 1, 1u << 30));
-    const u64 cap = parseEnvU64(
-        "DMT_TRACE_RING", static_cast<u64>(base.ring_capacity), 1,
-        1u << 30);
-    if (cap != static_cast<u64>(base.ring_capacity)) {
-        base.ring_capacity = static_cast<int>(cap);
-        base.ring = true;
-    }
-    return base;
+    *out = o;
+    return true;
 }
 
 } // namespace dmt

@@ -15,6 +15,8 @@
 #define DMT_TRACE_TRACER_HH
 
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "trace/options.hh"
@@ -86,8 +88,6 @@ class Tracer
     /** The ring sink, when one is configured (else nullptr). */
     RingSink *ring() const { return ring_; }
 
-    int samplePeriod() const { return sample_period_; }
-
   private:
     bool enabled_ = false;
     bool finished_ = false;
@@ -97,17 +97,22 @@ class Tracer
 };
 
 /**
- * Apply environment overrides on top of @p base:
+ * Parse a trace spec "sinks[:file=P][:counters_file=P][:sample=N]
+ * [:ring=N]" on top of @p out.
  *
- *  - DMT_TRACE: comma-separated sink list ("chrome", "ring",
- *    "counters", "insts"); "1" enables the default ring sink; "0" or
- *    "off" forces tracing off.
- *  - DMT_TRACE_FILE: Chrome trace output path.
- *  - DMT_TRACE_COUNTERS_FILE: counters sink output path.
- *  - DMT_TRACE_SAMPLE: cycles between counter samples.
- *  - DMT_TRACE_RING: ring sink capacity (events).
+ *  - sinks: comma-separated list of "chrome", "ring", "counters" and
+ *    "insts"; "on" (also "1") keeps the configured selection (default:
+ *    the ring sink); "off" (also "0") disables tracing.
+ *  - file / counters_file: Chrome trace / counters sink output paths.
+ *  - sample: cycles between counter samples, in [1, 2^30].
+ *  - ring: ring sink capacity in [1, 2^30]; selects the ring sink.
+ *
+ * @retval false with a message in @p err (when non-null) on an unknown
+ *         sink or field, a bad number, or a path containing ':';
+ *         @p out is then unchanged.
  */
-TraceOptions traceOptionsFromEnv(TraceOptions base);
+bool parseTraceSpec(std::string_view spec, TraceOptions *out,
+                    std::string *err);
 
 } // namespace dmt
 

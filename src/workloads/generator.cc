@@ -35,22 +35,6 @@ constexpr KnobRange kKnobs[] = {
     {"units", &GenParams::units, 1, 65536},
 };
 
-/** Split preserving empty fields (splitFields() drops them, which
- *  would let "gen::5" or "gen:loopnest::3" parse as valid). */
-std::vector<std::string>
-splitExact(std::string_view s, char sep)
-{
-    std::vector<std::string> out;
-    size_t start = 0;
-    for (size_t i = 0; i <= s.size(); ++i) {
-        if (i == s.size() || s[i] == sep) {
-            out.emplace_back(s.substr(start, i - start));
-            start = i + 1;
-        }
-    }
-    return out;
-}
-
 int
 familyIndex(std::string_view name)
 {

@@ -16,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -34,20 +33,6 @@ namespace dmt
 {
 namespace
 {
-
-/** Knobs that would perturb runs must not leak in from the caller. */
-const struct EnvSanitizer
-{
-    EnvSanitizer()
-    {
-        for (const char *v :
-             {"DMT_FAULT", "DMT_FAULT_RATE", "DMT_FAULT_SEED",
-              "DMT_TRACE", "DMT_TRACE_FILE", "DMT_TRACE_COUNTERS_FILE",
-              "DMT_TRACE_SAMPLE", "DMT_TRACE_RING", "DMT_WATCHDOG",
-              "DMT_AUDIT", "DMT_BENCH_INSTR", "DMT_SAMPLE"})
-            unsetenv(v);
-    }
-} env_sanitizer;
 
 /** Seeds per family (strict parse: garbage in the env is fatal). */
 int

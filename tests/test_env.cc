@@ -9,11 +9,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 
 #include "common/env.hh"
+#include "common/stats.hh"
+#include "dmt/engine.hh"
 #include "exp/runner.hh"
 #include "exp/sampled.hh"
+#include "fault/injector.hh"
+#include "trace/tracer.hh"
 #include "workloads/generator.hh"
 #include "workloads/workloads.hh"
 
@@ -79,7 +85,6 @@ TEST(ParseEnv, UnsetAndEmptyYieldDefault)
     EXPECT_EQ(parseEnvU64("DMT_TEST_KNOB", 123), 123u);
     setenv("DMT_TEST_KNOB", "", 1);
     EXPECT_EQ(parseEnvU64("DMT_TEST_KNOB", 123), 123u);
-    EXPECT_DOUBLE_EQ(parseEnvF64("DMT_TEST_KNOB", 0.5, 0.0, 1.0), 0.5);
     unsetenv("DMT_TEST_KNOB");
 }
 
@@ -87,8 +92,6 @@ TEST(ParseEnv, ReadsValidValues)
 {
     setenv("DMT_TEST_KNOB", "777", 1);
     EXPECT_EQ(parseEnvU64("DMT_TEST_KNOB", 1), 777u);
-    setenv("DMT_TEST_KNOB", "0.25", 1);
-    EXPECT_DOUBLE_EQ(parseEnvF64("DMT_TEST_KNOB", 0.0, 0.0, 1.0), 0.25);
     unsetenv("DMT_TEST_KNOB");
 }
 
@@ -114,9 +117,6 @@ TEST(ParseEnvDeath, RangeIsEnforced)
 {
     setenv("DMT_TEST_KNOB", "2000", 1);
     EXPECT_DEATH(parseEnvU64("DMT_TEST_KNOB", 1, 1, 1024),
-                 "out of range");
-    setenv("DMT_TEST_KNOB", "1.5", 1);
-    EXPECT_DEATH(parseEnvF64("DMT_TEST_KNOB", 0.0, 0.0, 1.0),
                  "out of range");
     unsetenv("DMT_TEST_KNOB");
 }
@@ -280,6 +280,216 @@ TEST(SampleEnvDeath, UniformSpecIsRejected)
     EXPECT_DEATH(SampleParams::fromEnv(),
                  "DMT_SAMPLE=\"1000:200:300\".*phase:interval");
     unsetenv("DMT_SAMPLE");
+}
+
+// ---------------------------------------------------------------------
+// Fault and trace specs (the DMT_FAULT / DMT_TRACE grammars):
+// parseFaultSpec()/parseTraceSpec() are the strict non-fatal layer;
+// withEnvKnobs() wraps them with fatal() at the harness boundary.
+// ---------------------------------------------------------------------
+
+TEST(FaultSpec, RejectionsAreStructuredErrors)
+{
+    const struct
+    {
+        const char *spec;
+        const char *needle; ///< must appear in the error message
+    } cases[] = {
+        {"load_value", "unknown fault site 'load_value'"},
+        {"load-value,,branch-prediction", "unknown fault site ''"},
+        {"", "unknown fault site ''"},
+        {"all:rate=abc", "fault rate must be a number in [0, 1]"},
+        {"all:rate=1.5", "fault rate must be a number in [0, 1]"},
+        {"all:rate=-0.1", "fault rate must be a number in [0, 1]"},
+        {"all:rate", "fault rate must be a number in [0, 1]"},
+        {"all:seed=4two", "bad fault seed"},
+        {"all:speed=3", "unknown fault field 'speed=3'"},
+        {"all:", "unknown fault field ''"},
+    };
+    for (const auto &c : cases) {
+        FaultOptions o;
+        o.seed = 3;
+        std::string err;
+        EXPECT_FALSE(parseFaultSpec(c.spec, &o, &err)) << c.spec;
+        EXPECT_NE(err.find(c.needle), std::string::npos)
+            << c.spec << " -> \"" << err << "\"";
+        EXPECT_FALSE(o.enabled) << "a rejected spec leaves out alone";
+        EXPECT_EQ(o.seed, 3u);
+    }
+    FaultOptions o;
+    EXPECT_FALSE(parseFaultSpec("load_value", &o, nullptr));
+}
+
+TEST(TraceSpec, RejectionsAreStructuredErrors)
+{
+    const struct
+    {
+        const char *spec;
+        const char *needle;
+    } cases[] = {
+        {"chrom", "unknown trace sink 'chrom'"},
+        {"", "unknown trace sink ''"},
+        {"chrome:file=out/a:b.json", "file paths may not contain ':'"},
+        {"chrome:file=", "is not key=value"},
+        {"counters:sample=0", "trace sample must be an integer"},
+        {"counters:sample=32x", "trace sample must be an integer"},
+        {"ring:ring=1073741825", "trace ring must be an integer"},
+        {"ring:depth=3", "unknown trace field 'depth'"},
+    };
+    for (const auto &c : cases) {
+        TraceOptions o;
+        std::string err;
+        EXPECT_FALSE(parseTraceSpec(c.spec, &o, &err)) << c.spec;
+        EXPECT_NE(err.find(c.needle), std::string::npos)
+            << c.spec << " -> \"" << err << "\"";
+        EXPECT_FALSE(o.enabled) << "a rejected spec leaves out alone";
+    }
+}
+
+TEST(TraceSpec, RingFieldAlwaysSelectsTheRingSink)
+{
+    // ring=N selects the ring sink even when N is the default capacity
+    // (4096), next to any other sink.
+    TraceOptions o;
+    std::string err;
+    ASSERT_TRUE(parseTraceSpec("chrome:ring=4096", &o, &err)) << err;
+    EXPECT_TRUE(o.chrome);
+    EXPECT_TRUE(o.ring);
+    EXPECT_EQ(o.ring_capacity, 4096);
+
+    setenv("DMT_TRACE", "chrome:ring=4096", 1);
+    const SimConfig cfg = withEnvKnobs(SimConfig::dmt(4, 2));
+    unsetenv("DMT_TRACE");
+    EXPECT_TRUE(cfg.trace.enabled);
+    EXPECT_TRUE(cfg.trace.chrome);
+    EXPECT_TRUE(cfg.trace.ring);
+    EXPECT_EQ(cfg.trace.ring_capacity, 4096);
+}
+
+TEST(HarnessEnv, WithEnvKnobsReadsEveryRunControlKnob)
+{
+    setenv("DMT_FAULT", "spawn-input:rate=0.5:seed=9", 1);
+    setenv("DMT_TRACE", "counters:counters_file=c.json:sample=64", 1);
+    setenv("DMT_WATCHDOG", "1234", 1);
+    setenv("DMT_AUDIT", "7", 1);
+    setenv("DMT_CRASH_FILE", "", 1);
+    const SimConfig cfg = withEnvKnobs(SimConfig::dmt(4, 2));
+    for (const char *v : {"DMT_FAULT", "DMT_TRACE", "DMT_WATCHDOG",
+                          "DMT_AUDIT", "DMT_CRASH_FILE"})
+        unsetenv(v);
+
+    EXPECT_TRUE(cfg.fault.enabled);
+    EXPECT_EQ(cfg.fault.seed, 9u);
+    EXPECT_DOUBLE_EQ(
+        cfg.fault.rate[static_cast<int>(FaultSite::SpawnInput)], 0.5);
+    EXPECT_TRUE(cfg.trace.enabled);
+    EXPECT_TRUE(cfg.trace.counters);
+    EXPECT_EQ(cfg.trace.counters_file, "c.json");
+    EXPECT_EQ(cfg.trace.sample_period, 64);
+    EXPECT_EQ(cfg.watchdog_cycles, 1234u);
+    EXPECT_EQ(cfg.audit_period, 7);
+    EXPECT_EQ(cfg.crash_file, "") << "empty DMT_CRASH_FILE: no file";
+
+    // Unset knobs leave the config as given.
+    const SimConfig same = withEnvKnobs(SimConfig::dmt(4, 2));
+    EXPECT_FALSE(same.fault.enabled);
+    EXPECT_FALSE(same.trace.enabled);
+    EXPECT_EQ(same.watchdog_cycles, SimConfig{}.watchdog_cycles);
+    EXPECT_EQ(same.crash_file, SimConfig{}.crash_file);
+}
+
+// The engine is a pure function of (SimConfig, Program, Checkpoint*):
+// the run-control knobs reach it only through withEnvKnobs().
+TEST(HarnessEnv, EngineReadsNoEnvironment)
+{
+    const Program prog = buildWorkload("go");
+    SimConfig cfg = SimConfig::dmt(4, 2);
+    cfg.max_retired = 3000;
+    const auto dump = [](const DmtEngine &e) {
+        StatGroup g("dmt");
+        e.stats().registerAll(g);
+        return g.dump();
+    };
+
+    DmtEngine clean(cfg, prog);
+    clean.run();
+    ASSERT_TRUE(clean.goldenOk()) << clean.goldenError();
+
+    const std::string trace_file =
+        ::testing::TempDir() + "dmt_env_engine_trace.json";
+    std::remove(trace_file.c_str());
+    setenv("DMT_FAULT", "all:rate=0.5", 1);
+    setenv("DMT_TRACE", ("chrome:file=" + trace_file).c_str(), 1);
+    setenv("DMT_AUDIT", "1", 1);
+    setenv("DMT_WATCHDOG", "1", 1);
+    std::string under_env;
+    {
+        DmtEngine e(cfg, prog);
+        e.run();
+        ASSERT_TRUE(e.goldenOk()) << e.goldenError();
+        EXPECT_FALSE(e.faults().enabled());
+        EXPECT_EQ(e.faults().injectedTotal(), 0u);
+        EXPECT_FALSE(e.tracer().enabled());
+        under_env = dump(e);
+    }
+    for (const char *v : {"DMT_FAULT", "DMT_TRACE", "DMT_AUDIT",
+                          "DMT_WATCHDOG"})
+        unsetenv(v);
+
+    EXPECT_EQ(under_env, dump(clean));
+    EXPECT_FALSE(std::filesystem::exists(trace_file))
+        << "an engine built from a default SimConfig wrote a trace";
+}
+
+// Companion: the same DMT_FAULT does reach runs through the harness.
+TEST(HarnessEnv, RunWorkloadAppliesTheFaultKnob)
+{
+    const SimConfig cfg = SimConfig::dmt(4, 2);
+    const RunResult clean = runWorkload(cfg, "go", 3000);
+
+    setenv("DMT_FAULT", "all:rate=0.5", 1);
+    const RunResult storm = runWorkload(cfg, "go", 3000);
+    const SimConfig storm_cfg = withEnvKnobs(cfg);
+    unsetenv("DMT_FAULT");
+
+    // runWorkload() golden-checks, so the storm retired clean; flipped
+    // branch predictions show up as extra mispredictions.
+    EXPECT_GT(storm.stats.cond_mispredicts.value(),
+              clean.stats.cond_mispredicts.value());
+
+    const Program prog = buildWorkload("go");
+    SimConfig run_cfg = storm_cfg;
+    run_cfg.max_retired = 3000;
+    DmtEngine e(run_cfg, prog);
+    e.run();
+    ASSERT_TRUE(e.goldenOk()) << e.goldenError();
+    EXPECT_GT(e.faults().injectedTotal(), 0u);
+}
+
+using HarnessEnvDeath = ::testing::Test;
+
+TEST(HarnessEnvDeath, MisspelledFaultSiteOrTraceSinkIsFatal)
+{
+    // A misspelling must not run a "storm" that injects nothing, or a
+    // trace that records nothing, and exit 0.
+    const SimConfig cfg = SimConfig::dmt(4, 2);
+    setenv("DMT_FAULT", "load_value", 1);
+    EXPECT_DEATH(runWorkload(cfg, "go", 1000),
+                 "DMT_FAULT=\"load_value\": unknown fault site");
+    unsetenv("DMT_FAULT");
+
+    setenv("DMT_TRACE", "chrom", 1);
+    EXPECT_DEATH(runWorkload(cfg, "go", 1000),
+                 "DMT_TRACE=\"chrom\": unknown trace sink");
+    unsetenv("DMT_TRACE");
+
+    setenv("DMT_FAULT", "all:rate=2", 1);
+    EXPECT_DEATH(withEnvKnobs(cfg), "DMT_FAULT=.*in \\[0, 1\\]");
+    unsetenv("DMT_FAULT");
+
+    setenv("DMT_AUDIT", "often", 1);
+    EXPECT_DEATH(withEnvKnobs(cfg), "DMT_AUDIT");
+    unsetenv("DMT_AUDIT");
 }
 
 // ---------------------------------------------------------------------

@@ -260,18 +260,15 @@ TEST(FaultInjector, CorruptValueAlwaysChangesTheValue)
 }
 
 // ---------------------------------------------------------------------
-// Environment knobs (DMT_FAULT / DMT_FAULT_RATE / DMT_FAULT_SEED).
+// Fault specs ("sites[:rate=R][:seed=S]", the DMT_FAULT grammar).
 // ---------------------------------------------------------------------
 
 TEST(FaultInjector, EnvKnobsSelectSitesRateAndSeed)
 {
-    setenv("DMT_FAULT", "load-value,branch-prediction", 1);
-    setenv("DMT_FAULT_RATE", "0.25", 1);
-    setenv("DMT_FAULT_SEED", "99", 1);
-    const FaultOptions o = faultOptionsFromEnv(FaultOptions{});
-    unsetenv("DMT_FAULT");
-    unsetenv("DMT_FAULT_RATE");
-    unsetenv("DMT_FAULT_SEED");
+    FaultOptions o;
+    std::string err;
+    ASSERT_TRUE(parseFaultSpec("load-value,branch-prediction:rate=0.25:"
+                               "seed=99", &o, &err)) << err;
 
     EXPECT_TRUE(o.enabled);
     EXPECT_EQ(o.seed, 99u);
@@ -285,6 +282,15 @@ TEST(FaultInjector, EnvKnobsSelectSitesRateAndSeed)
         o.rate[static_cast<int>(FaultSite::DataflowValue)], 0.0);
     EXPECT_DOUBLE_EQ(
         o.rate[static_cast<int>(FaultSite::SpawnDecision)], 0.0);
+
+    // "all" selects every site at the default rate; the seed is kept.
+    FaultOptions a;
+    a.seed = 5;
+    ASSERT_TRUE(parseFaultSpec("all", &a, &err)) << err;
+    EXPECT_TRUE(a.enabled);
+    EXPECT_EQ(a.seed, 5u);
+    for (double r : a.rate)
+        EXPECT_DOUBLE_EQ(r, 0.01);
 }
 
 TEST(FaultInjector, EnvOffForcesInjectionOff)
@@ -292,10 +298,9 @@ TEST(FaultInjector, EnvOffForcesInjectionOff)
     FaultOptions base;
     base.enabled = true;
     base.rateAll(0.5);
-    setenv("DMT_FAULT", "off", 1);
-    const FaultOptions o = faultOptionsFromEnv(base);
-    unsetenv("DMT_FAULT");
-    EXPECT_FALSE(o.enabled);
+    std::string err;
+    ASSERT_TRUE(parseFaultSpec("off", &base, &err)) << err;
+    EXPECT_FALSE(base.enabled);
 }
 
 // Disabled injection is the default and must not perturb a run at all.

@@ -31,17 +31,16 @@ namespace
 /** The signature length: fixed, independent of DMT_BENCH_INSTR. */
 constexpr u64 kGoldenBudget = 60000;
 
-/** Knobs that would perturb the signatures must not leak in from the
- *  caller's environment. */
+/** Knobs that would perturb the signatures (read by runWorkload() at
+ *  the harness boundary) must not leak in from the caller's
+ *  environment. */
 const struct EnvSanitizer
 {
     EnvSanitizer()
     {
         for (const char *v :
-             {"DMT_FAULT", "DMT_FAULT_RATE", "DMT_FAULT_SEED",
-              "DMT_TRACE", "DMT_TRACE_FILE", "DMT_TRACE_COUNTERS_FILE",
-              "DMT_TRACE_SAMPLE", "DMT_TRACE_RING", "DMT_WATCHDOG",
-              "DMT_AUDIT", "DMT_BENCH_INSTR", "DMT_SAMPLE"})
+             {"DMT_FAULT", "DMT_TRACE", "DMT_WATCHDOG", "DMT_AUDIT",
+              "DMT_BENCH_INSTR", "DMT_SAMPLE"})
             unsetenv(v);
     }
 } env_sanitizer;

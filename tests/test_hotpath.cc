@@ -153,21 +153,6 @@ namespace dmt
 namespace
 {
 
-/** Environment knobs that would enable allocating subsystems (fault
- *  injection, telemetry, invariant audits) must not leak in. */
-const struct EnvSanitizer
-{
-    EnvSanitizer()
-    {
-        for (const char *v :
-             {"DMT_FAULT", "DMT_FAULT_RATE", "DMT_FAULT_SEED",
-              "DMT_TRACE", "DMT_TRACE_FILE", "DMT_TRACE_COUNTERS_FILE",
-              "DMT_TRACE_SAMPLE", "DMT_TRACE_RING", "DMT_WATCHDOG",
-              "DMT_AUDIT", "DMT_BENCH_INSTR", "DMT_DEBUG"})
-            unsetenv(v);
-    }
-} env_sanitizer;
-
 // ---------------------------------------------------------------------
 // Steady-state allocation freedom
 // ---------------------------------------------------------------------

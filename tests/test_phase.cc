@@ -39,17 +39,17 @@ namespace dmt
 namespace
 {
 
-/** Knobs that would perturb the deterministic runs below must not
- *  leak in from the caller's environment. */
+/** Knobs that would perturb the deterministic runs below (read by
+ *  runWorkload() at the harness boundary, and DMT_BENCH_INSTR by
+ *  budget-0 sampled runs) must not leak in from the caller's
+ *  environment. */
 const struct EnvSanitizer
 {
     EnvSanitizer()
     {
         for (const char *v :
-             {"DMT_FAULT", "DMT_FAULT_RATE", "DMT_FAULT_SEED",
-              "DMT_TRACE", "DMT_TRACE_FILE", "DMT_TRACE_COUNTERS_FILE",
-              "DMT_TRACE_SAMPLE", "DMT_TRACE_RING", "DMT_WATCHDOG",
-              "DMT_AUDIT", "DMT_BENCH_INSTR", "DMT_SAMPLE"})
+             {"DMT_FAULT", "DMT_TRACE", "DMT_WATCHDOG", "DMT_AUDIT",
+              "DMT_BENCH_INSTR", "DMT_SAMPLE"})
             unsetenv(v);
     }
 } env_sanitizer;

@@ -404,31 +404,32 @@ TEST(ChromeTrace, RecoveryAndSquashEventsAppearUnderLoad)
     EXPECT_EQ(squashes, engine.stats().threads_squashed.value());
 }
 
-// ---- env parsing -------------------------------------------------------
+// ---- spec parsing (the DMT_TRACE grammar) -------------------------------
 
 TEST(TraceEnv, ParsesSinkListAndOverrides)
 {
-    setenv("DMT_TRACE", "chrome,counters,insts", 1);
-    setenv("DMT_TRACE_FILE", "x.json", 1);
-    setenv("DMT_TRACE_SAMPLE", "32", 1);
-    TraceOptions o = traceOptionsFromEnv(TraceOptions{});
+    TraceOptions o;
+    std::string err;
+    ASSERT_TRUE(parseTraceSpec("chrome,counters,insts:file=x.json:"
+                               "counters_file=c.json:sample=32", &o,
+                               &err)) << err;
     EXPECT_TRUE(o.enabled);
     EXPECT_TRUE(o.chrome);
     EXPECT_TRUE(o.counters);
     EXPECT_TRUE(o.insts);
     EXPECT_FALSE(o.ring);
     EXPECT_EQ(o.chrome_file, "x.json");
+    EXPECT_EQ(o.counters_file, "c.json");
     EXPECT_EQ(o.sample_period, 32);
 
-    setenv("DMT_TRACE", "off", 1);
-    o = traceOptionsFromEnv(TraceOptions{});
+    ASSERT_TRUE(parseTraceSpec("off", &o, &err)) << err;
     EXPECT_FALSE(o.enabled);
 
-    unsetenv("DMT_TRACE");
-    unsetenv("DMT_TRACE_FILE");
-    unsetenv("DMT_TRACE_SAMPLE");
-    o = traceOptionsFromEnv(TraceOptions{});
-    EXPECT_FALSE(o.enabled);
+    // "on" keeps the configured selection (none: the default ring).
+    TraceOptions d;
+    ASSERT_TRUE(parseTraceSpec("on", &d, &err)) << err;
+    EXPECT_TRUE(d.enabled);
+    EXPECT_FALSE(d.ring || d.chrome || d.counters);
 }
 
 } // namespace
