@@ -18,36 +18,7 @@ benchMain()
         "columns are speedup over the baseline; 'default' is the "
         "shipping configuration");
 
-    std::vector<BenchColumn> cols;
-    cols.push_back({"default", SimConfig::dmt(4, 2)});
-    {
-        SimConfig c = SimConfig::dmt(4, 2);
-        c.early_divergence_repair = false;
-        cols.push_back({"late-div", c});
-    }
-    {
-        SimConfig c = SimConfig::dmt(4, 2);
-        c.dataflow_sync = true;
-        cols.push_back({"df-sync", c});
-    }
-    {
-        SimConfig c = SimConfig::dmt(4, 2);
-        c.recovery_fetch_stall = 2;
-        c.recovery_dispatch_stall = 2;
-        cols.push_back({"stall-all", c});
-    }
-    {
-        SimConfig c = SimConfig::dmt(4, 2);
-        c.spawn_on_loop = false;
-        cols.push_back({"calls-only", c});
-    }
-    {
-        SimConfig c = SimConfig::dmt(4, 2);
-        c.spawn_on_call = false;
-        cols.push_back({"loops-only", c});
-    }
-
-    speedupTable(rep, cols, "ablation");
+    speedupTable(rep, exp::ablationColumns(), "ablation");
     rep.print();
     return 0;
 }

@@ -31,13 +31,6 @@
 namespace dmt
 {
 
-/** One machine column in a speedup table. */
-struct BenchColumn
-{
-    std::string name;
-    SimConfig cfg;
-};
-
 /** True when per-workload progress logging is suppressed. */
 inline bool
 benchQuiet()

@@ -83,6 +83,26 @@ fig13Dmt(int tb_latency)
     return c;
 }
 
+std::vector<BenchColumn>
+ablationColumns()
+{
+    const SimConfig base = SimConfig::dmt(4, 2);
+    std::vector<BenchColumn> cols(6, BenchColumn{"", base});
+    cols[0].name = "default";
+    cols[1].name = "late-div";
+    cols[1].cfg.early_divergence_repair = false;
+    cols[2].name = "df-sync";
+    cols[2].cfg.dataflow_sync = true;
+    cols[3].name = "stall-all";
+    cols[3].cfg.recovery_fetch_stall = 2;
+    cols[3].cfg.recovery_dispatch_stall = 2;
+    cols[4].name = "calls-only";
+    cols[4].cfg.spawn_on_loop = false;
+    cols[5].name = "loops-only";
+    cols[5].cfg.spawn_on_call = false;
+    return cols;
+}
+
 } // namespace exp
 
 } // namespace dmt

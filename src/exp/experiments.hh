@@ -8,10 +8,20 @@
 #ifndef DMT_EXP_EXPERIMENTS_HH
 #define DMT_EXP_EXPERIMENTS_HH
 
+#include <string>
+#include <vector>
+
 #include "uarch/config.hh"
 
 namespace dmt
 {
+
+/** One machine column in a bench table. */
+struct BenchColumn
+{
+    std::string name;
+    SimConfig cfg;
+};
 
 namespace exp
 {
@@ -59,6 +69,15 @@ SimConfig fig12Dmt(int read_block);
 
 /** Figure 13: trace buffer (recovery startup) latency sweep. */
 SimConfig fig13Dmt(int tb_latency);
+
+/**
+ * Ablation columns (beyond the paper): the 4-thread, 2-port DMT
+ * machine as shipped ("default"), then with one design choice
+ * DESIGN.md calls out toggled per column — the paper's
+ * retirement-time divergence flush, dataflow sync, recovery stalls,
+ * and spawning at calls only or loops only.
+ */
+std::vector<BenchColumn> ablationColumns();
 
 } // namespace exp
 

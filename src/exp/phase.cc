@@ -143,6 +143,29 @@ dist2(const double *a, const double *b, size_t dims)
     return s;
 }
 
+/** Centers measured together by dist2x4(). */
+constexpr size_t kLanes = 4;
+
+/**
+ * Squared distances from @p a to kLanes centers stored interleaved in
+ * @p ct (dims rows of kLanes coordinates).  Each lane sums in
+ * dimension order exactly as dist2() does, so every result is
+ * bit-identical to a dist2() call; the lanes are independent, so
+ * their adds overlap instead of queueing on one add's latency.
+ */
+inline void
+dist2x4(const double *a, const double *ct, size_t dims, double *out)
+{
+    double s[kLanes] = {};
+    for (size_t d = 0; d < dims; ++d) {
+        for (size_t j = 0; j < kLanes; ++j) {
+            const double diff = a[d] - ct[d * kLanes + j];
+            s[j] += diff * diff;
+        }
+    }
+    std::copy_n(s, kLanes, out);
+}
+
 struct KmeansRun
 {
     std::vector<u32> assign;      ///< point -> center
@@ -206,21 +229,35 @@ kmeansFit(const std::vector<double> &feats, size_t n, size_t dims,
         }
     }
 
-    // Lloyd iterations.
+    // Lloyd iterations.  The assignment step reads the centers in
+    // groups of kLanes, interleaved per dimension for dist2x4()
+    // (lanes past k stay zero and are never compared): a single add
+    // chain per center waits on add latency, and its speed swings by
+    // up to half with where the linker places the loop.
     std::vector<double> sums(k * dims);
+    const size_t groups = (k + kLanes - 1) / kLanes;
+    std::vector<double> ct(groups * dims * kLanes, 0.0);
+    double lane_d[kLanes];
     constexpr int kMaxIters = 64;
     for (int iter = 0; iter < kMaxIters; ++iter) {
         bool changed = iter == 0;
         run.distortion = 0.0;
         std::fill(run.sizes.begin(), run.sizes.end(), u64{0});
+        for (size_t c = 0; c < k; ++c) {
+            for (size_t d = 0; d < dims; ++d)
+                ct[((c / kLanes) * dims + d) * kLanes + c % kLanes] =
+                    run.centers[c * dims + d];
+        }
         for (size_t i = 0; i < n; ++i) {
             size_t best = 0;
-            double best_d =
-                dist2(&feats[i * dims], &run.centers[0], dims);
-            for (size_t c = 1; c < k; ++c) {
-                const double d = dist2(&feats[i * dims],
-                                       &run.centers[c * dims], dims);
-                if (d < best_d) { // strict: ties keep the lowest c
+            double best_d = 0.0;
+            for (size_t c = 0; c < k; ++c) {
+                if (c % kLanes == 0) {
+                    dist2x4(&feats[i * dims], &ct[c * dims], dims,
+                            lane_d);
+                }
+                const double d = lane_d[c % kLanes];
+                if (c == 0 || d < best_d) { // strict: ties keep lowest c
                     best_d = d;
                     best = c;
                 }

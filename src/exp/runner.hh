@@ -77,8 +77,6 @@ struct SampleSummary
      *  canonical JSON, which depends only on the architectural stream
      *  and not on translation-cache state. */
     u64 ff_blocks_translated = 0;
-    u64 ff_retranslations = 0;
-    u64 ff_evictions = 0;
     u64 ff_chain_hits = 0;
     /** Instructions the checkpoint chain executed in this run (the
      *  profile pass excluded; 0 when every checkpoint was cached) and

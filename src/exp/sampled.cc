@@ -236,8 +236,6 @@ recordChainWork(const ChainWork &work, SampleSummary *s)
     s->func_wall_s = work.wall_s;
     s->ff_instr = work.instr;
     s->ff_blocks_translated = work.xlat.blocks_translated;
-    s->ff_retranslations = work.xlat.retranslations;
-    s->ff_evictions = work.xlat.evictions;
     s->ff_chain_hits = work.xlat.chain_hits;
 }
 

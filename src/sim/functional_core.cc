@@ -4,16 +4,10 @@ namespace dmt
 {
 
 FunctionalCore::FunctionalCore(const Program &prog, bool stream_output)
-    : prog_(prog), xlat_(std::make_unique<TranslatedCore>(prog))
+    : prog_(prog), xlat_(prog)
 {
     state_.stream_output = stream_output;
     reset();
-}
-
-void
-FunctionalCore::setCacheBound(u32 max_blocks)
-{
-    xlat_ = std::make_unique<TranslatedCore>(prog_, max_blocks);
 }
 
 void
@@ -41,7 +35,7 @@ FunctionalCore::restore(const ArchState &state, const MainMemory &mem,
 u64
 FunctionalCore::run(u64 max_instr)
 {
-    const u64 done = xlat_->run(state_, mem_, max_instr, bbv_);
+    const u64 done = xlat_.run(state_, mem_, max_instr, bbv_);
     instr_count_ += done;
     return done;
 }

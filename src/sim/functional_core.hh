@@ -18,8 +18,6 @@
 #ifndef DMT_SIM_FUNCTIONAL_CORE_HH
 #define DMT_SIM_FUNCTIONAL_CORE_HH
 
-#include <memory>
-
 #include "casm/program.hh"
 #include "sim/arch_state.hh"
 #include "sim/mainmem.hh"
@@ -66,9 +64,6 @@ class FunctionalCore
     void restore(const ArchState &state, const MainMemory &mem,
                  u64 instr_count);
 
-    /** Rebind the translation-cache bound (drops cached blocks). */
-    void setCacheBound(u32 max_blocks);
-
     /**
      * Attach (or detach, with nullptr) a BBV collector: subsequent
      * run() calls report every taken control transfer to it under the
@@ -78,8 +73,9 @@ class FunctionalCore
      */
     void setBbv(BbvCollector *bbv) { bbv_ = bbv; }
 
-    /** Translation telemetry accumulated since the last cache rebind. */
-    TranslationStats translationStats() const { return xlat_->stats(); }
+    /** Translation telemetry accumulated over the core's life (the
+     *  translations survive reset() and restore()). */
+    TranslationStats translationStats() const { return xlat_.stats(); }
 
   private:
     const Program &prog_;
@@ -87,7 +83,7 @@ class FunctionalCore
     MainMemory mem_;
     u64 instr_count_ = 0;
     BbvCollector *bbv_ = nullptr;
-    std::unique_ptr<TranslatedCore> xlat_;
+    TranslatedCore xlat_;
 };
 
 } // namespace dmt

@@ -115,6 +115,8 @@ SimConfig::jsonOn(JsonWriter &w) const
     w.key("spawn_on_loop").value(spawn_on_loop);
     w.key("value_prediction").value(value_prediction);
     w.key("dataflow_prediction").value(dataflow_prediction);
+    w.key("dataflow_sync").value(dataflow_sync);
+    w.key("memdep_sync").value(memdep_sync);
     w.key("fetch_ports").value(fetch_ports);
     w.key("fetch_block").value(fetch_block);
     w.key("window_size").value(window_size);
@@ -124,9 +126,14 @@ SimConfig::jsonOn(JsonWriter &w) const
     w.key("tb_size").value(tb_size);
     w.key("tb_latency").value(tb_latency);
     w.key("tb_read_block").value(tb_read_block);
+    w.key("recovery_fetch_stall").value(recovery_fetch_stall);
+    w.key("recovery_dispatch_stall").value(recovery_dispatch_stall);
+    w.key("early_divergence_repair").value(early_divergence_repair);
     w.key("lq_size").value(lqSize());
     w.key("sq_size").value(sqSize());
     w.key("lat_mem").value(lat_mem);
+    w.key("l1i_size_bytes").value(mem.l1i.size_bytes);
+    w.key("l2_size_bytes").value(mem.l2.size_bytes);
     w.key("max_retired").value(max_retired);
     w.key("warmup_retired").value(warmup_retired);
     w.key("watchdog_cycles").value(watchdog_cycles);

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/json.hh"
 #include "exp/experiments.hh"
 #include "exp/report.hh"
 #include "exp/runner.hh"
@@ -93,6 +97,38 @@ TEST(PaperConfig, FigureSweeps)
     EXPECT_EQ(exp::fig12Dmt(6).tb_read_block, 6);
     EXPECT_EQ(exp::fig12Dmt(0).tb_read_block, 0) << "ideal queue";
     EXPECT_EQ(exp::fig13Dmt(16).tb_latency, 16);
+}
+
+/** The SimConfig JSON document a bench records for a machine. */
+std::string
+configJson(const SimConfig &cfg)
+{
+    JsonWriter w;
+    cfg.jsonOn(w);
+    return w.str();
+}
+
+TEST(PaperConfig, JsonRecordsEveryVariedField)
+{
+    // Each ablation column differs from the others in one policy
+    // field; the recorded config must say which.
+    const std::vector<BenchColumn> cols = exp::ablationColumns();
+    ASSERT_EQ(cols.size(), 6u);
+    for (size_t i = 0; i < cols.size(); ++i) {
+        for (size_t j = i + 1; j < cols.size(); ++j) {
+            EXPECT_NE(configJson(cols[i].cfg), configJson(cols[j].cfg))
+                << cols[i].name << " vs " << cols[j].name;
+        }
+    }
+
+    // Figure 9's cache-pressure variant shrinks the L1I and the L2.
+    SimConfig l1i = exp::fig89Dmt();
+    l1i.mem.l1i.size_bytes = 512;
+    SimConfig l2 = exp::fig89Dmt();
+    l2.mem.l2.size_bytes = 4 * 1024;
+    EXPECT_NE(configJson(exp::fig89Dmt()), configJson(l1i));
+    EXPECT_NE(configJson(exp::fig89Dmt()), configJson(l2));
+    EXPECT_NE(configJson(l1i), configJson(l2));
 }
 
 TEST(PaperConfig, ValidationCatchesNonsense)

@@ -8,7 +8,8 @@
  * — in registers, PC, halt flag, OUT stream (exact vector, count and
  * hash), sparse memory pages and executed-instruction count, for every
  * conformance scenario, for arbitrary mid-block budget stops, across
- * checkpoint capture and across tiny-cache eviction churn.
+ * checkpoint capture, and across reruns that reuse the translation
+ * cache after reset() and restore().
  *
  * Scenario count mirrors tests/test_conformance.cc: all generator
  * families x DMT_CONF_SEEDS seeds (default 15; CI smoke uses 2).
@@ -164,8 +165,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Translated, SuiteKernelsBitIdentical)
 {
-    for (const char *name : {"go", "m88ksim", "compress", "li",
-                             "ijpeg", "perl", "vortex", "gcc"}) {
+    // The suite kernels, plus a call-tree and a branchy program with
+    // default knobs (many short blocks, returns through JR).
+    for (const char *name : {"go", "m88ksim", "compress", "li", "ijpeg",
+                             "perl", "vortex", "gcc", "gen:calltree:7",
+                             "gen:branchy:3:trips=40"}) {
         const Program prog = buildWorkload(name);
         StepReference ref(prog);
         FunctionalCore xlat(prog, /*stream_output=*/false);
@@ -177,35 +181,43 @@ TEST(Translated, SuiteKernelsBitIdentical)
 
 // ---- translation-cache behaviour --------------------------------------
 
-TEST(Translated, TinyCacheEvictsAndRetranslatesExactly)
+TEST(Translated, CacheKeepsEveryBlockAcrossResetAndRestore)
 {
-    // A 2-block cache on a call-tree workload forces constant eviction
-    // and retranslation churn; results must not change.
+    // Translations live for the life of the core: a rerun over block
+    // starts already seen translates nothing, and the cache never
+    // holds more blocks than the text has instructions.
     const Program prog = buildWorkload("gen:calltree:7");
     StepReference ref(prog);
-    FunctionalCore xlat(prog, /*stream_output=*/false);
-    xlat.setCacheBound(2);
-
     runToHalt(ref, "calltree reference");
-    runToHalt(xlat, "calltree tiny cache");
-    expectSameState(ref, xlat, "tiny-cache eviction churn");
 
-    const TranslationStats xs = xlat.translationStats();
-    EXPECT_GT(xs.evictions, 0u);
-    EXPECT_GT(xs.retranslations, 0u);
-    EXPECT_GT(xs.blocks_translated, xs.retranslations);
-}
-
-TEST(Translated, CacheBoundOneStillExact)
-{
-    // The degenerate bound: every block transfer is a miss.
-    const Program prog = buildWorkload("gen:branchy:3:trips=40");
-    StepReference ref(prog);
     FunctionalCore xlat(prog, /*stream_output=*/false);
-    xlat.setCacheBound(1);
-    runToHalt(ref, "branchy reference");
-    runToHalt(xlat, "branchy bound-1");
-    expectSameState(ref, xlat, "cache bound 1");
+    runToHalt(xlat, "first run");
+    expectSameState(ref, xlat, "first run");
+    const u64 first = xlat.translationStats().blocks_translated;
+    EXPECT_GT(first, 0u);
+    EXPECT_LE(first, prog.text.size());
+
+    xlat.reset();
+    runToHalt(xlat, "rerun after reset");
+    expectSameState(ref, xlat, "rerun after reset");
+    EXPECT_EQ(xlat.translationStats().blocks_translated, first);
+
+    // A budget stop inside a block: resuming there enters the block
+    // mid-way, a start the first runs never saw.
+    FunctionalCore ff(prog, /*stream_output=*/false);
+    ASSERT_EQ(ff.run(777), 777u);
+    const Checkpoint ck = Checkpoint::capture(ff);
+    xlat.restore(ck.state, ck.mem, ck.instr_count);
+    runToHalt(xlat, "run after restore");
+    expectSameState(ref, xlat, "run after restore");
+    const u64 resumed = xlat.translationStats().blocks_translated;
+    EXPECT_GT(resumed, first);
+    EXPECT_LE(resumed, prog.text.size());
+
+    xlat.restore(ck.state, ck.mem, ck.instr_count);
+    runToHalt(xlat, "second run after restore");
+    expectSameState(ref, xlat, "second run after restore");
+    EXPECT_EQ(xlat.translationStats().blocks_translated, resumed);
 }
 
 TEST(Translated, IndirectStressReturnsAndPtrchase)
@@ -244,36 +256,6 @@ TEST(Translated, HotLoopChainsBlocks)
     // (every miss is a one-time chain installation).
     EXPECT_GT(xs.chain_hits, 10 * xs.chain_misses);
     EXPECT_GT(xs.blocks_executed, xs.blocks_translated);
-}
-
-TEST(Translated, InvalidateAllRetranslatesExactly)
-{
-    const Program prog = buildWorkload("gen:loopnest:3:trips=50");
-
-    // Reference: uninterrupted functionalStep() run.
-    StepReference ref(prog);
-    runToHalt(ref, "loopnest reference");
-
-    // Drive TranslatedCore directly and invalidate mid-run.
-    ArchState state;
-    state.reset(prog);
-    state.stream_output = false;
-    MainMemory mem;
-    mem.loadProgram(prog);
-    TranslatedCore core(prog);
-    u64 executed = 0;
-    executed += core.run(state, mem, 1000);
-    core.invalidateAll();
-    EXPECT_EQ(core.cachedBlocks(), 0u);
-    while (!state.halted && executed < kRunCap)
-        executed += core.run(state, mem, kRunCap - executed);
-    ASSERT_TRUE(state.halted);
-
-    EXPECT_EQ(executed, ref.instrCount());
-    EXPECT_EQ(state.pc, ref.state().pc);
-    EXPECT_EQ(state.regs, ref.state().regs);
-    EXPECT_EQ(state.output, ref.state().output);
-    EXPECT_TRUE(mem == ref.memory());
 }
 
 // ---- checkpoint pipeline -----------------------------------------------
