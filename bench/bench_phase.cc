@@ -68,7 +68,6 @@ runPhase(const dmt::SimConfig &cfg, const std::string &workload,
     // Cold caches: the wall clock pays for the profile and the
     // checkpoints, the full cost of the estimate.
     clearCheckpointCache();
-    clearPhaseCache();
     const RunResult r = runWorkloadSampled(cfg, workload, p, budget);
     PhaseEstimate m;
     m.cpi = r.sampling.cpi_mean;

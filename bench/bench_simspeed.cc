@@ -215,7 +215,7 @@ benchMain()
 
     // Functional fast-forward throughput: repeated full-program
     // FunctionalCore runs — the engine behind the BBV profile and the
-    // checkpoint chain in sampled mode (DMT_SAMPLE), so its ratio over
+    // checkpoint walk in sampled mode (DMT_SAMPLE), so its ratio over
     // dmt6 bounds how much of a sampled run's wall clock fast-forward
     // can cost.  Measured over the 8-kernel suite plus one instance of
     // each generated family, with and without BBV profiling.

@@ -12,7 +12,9 @@
  * cluster contributes one representative interval and an
  * instruction-count weight; the sampled run (DMT_SAMPLE=phase:...)
  * then runs one warm+measure window per representative and aggregates
- * CPI by weight.
+ * CPI by weight.  Nothing here knows workload names or caches a
+ * result: exp/sampled.hh builds a run's SamplePlan from these pieces
+ * and keeps it.
  *
  * Determinism contract: every stage is bit-identical across reruns,
  * platforms and DMT_JOBS settings.  The BBVs are a pure function of
@@ -26,8 +28,6 @@
 #ifndef DMT_EXP_PHASE_HH
 #define DMT_EXP_PHASE_HH
 
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "casm/program.hh"
@@ -93,14 +93,14 @@ constexpr u64 kAnchorPageBudget = u64{2} << 20;
 
 /**
  * collectBbvs() that also leaves anchor checkpoints in @p anchors
- * (replaced; ascending position), so a later checkpoint chain can
- * start from the nearest earlier anchor instead of the entry.  One
- * anchor is taken every `stride` chunk ends, stride starting at 1;
- * whenever the anchors' pages would exceed kAnchorPageBudget, every
- * other anchor is dropped and the stride doubles.  No anchor is taken
- * at HALT, at the budget, in a program shorter than one chunk, or
- * where the memory alone exceeds the budget.  The BBVs are identical
- * to collectBbvs()'s.
+ * (replaced; ascending position), so a sample plan's forward walk
+ * (exp/sampled.hh) can restart from the nearest earlier anchor instead
+ * of running from the entry.  One anchor is taken every `stride` chunk
+ * ends, stride starting at 1; whenever the anchors' pages would exceed
+ * kAnchorPageBudget, every other anchor is dropped and the stride
+ * doubles.  No anchor is taken at HALT, at the budget, in a program
+ * shorter than one chunk, or where the memory alone exceeds the
+ * budget.  The BBVs are identical to collectBbvs()'s.
  */
 std::vector<IntervalBbv> collectBbvsAnchored(
     const Program &prog, u64 interval_len, u64 budget,
@@ -111,9 +111,11 @@ std::vector<IntervalBbv> collectBbvsAnchored(
  * Source-compatibility shims for perfbench/workloads.cc, whose
  * collectBbvs() call still names a fast-forward engine.  There is one
  * engine; the mode is ignored and no environment variable is read.
- * The third shim is CheckpointCacheCounters::disk_hits
- * (exp/sampled.hh), which perfbench also reads: there is no on-disk
- * checkpoint tier, so it is always 0.  Nothing else may use these.
+ * perfbench also still calls clearPhaseCache() and reads
+ * CheckpointCacheCounters::disk_hits (exp/sampled.hh): there is one
+ * sample-plan cache, which clearCheckpointCache() empties, and no
+ * on-disk checkpoint tier, so disk_hits is always 0.  Nothing else may
+ * use these.
  */
 enum class FfMode : u8
 {
@@ -134,6 +136,14 @@ collectBbvs(const Program &prog, u64 interval_len, u64 budget, FfMode,
                        completed_out);
 }
 
+void clearCheckpointCache(); // exp/sampled.hh
+
+inline void
+clearPhaseCache()
+{
+    clearCheckpointCache();
+}
+
 /**
  * Project + cluster @p bbvs under @p params.  interval_len, covered
  * and completed in the result are left for the caller; assignment and
@@ -143,35 +153,6 @@ collectBbvs(const Program &prog, u64 interval_len, u64 budget, FfMode,
  */
 PhaseAnalysis clusterPhases(const std::vector<IntervalBbv> &bbvs,
                             const PhaseParams &params);
-
-/**
- * Cached end-to-end analysis for @p workload (a canonical suite /
- * gen: name) bounded by @p budget stream instructions (0 = to HALT).
- * Results are process-wide shared (immutable) and keyed by (workload,
- * params, budget), so sweep cells over the same workload pay for
- * profiling once — mirroring the sampled checkpoint cache.
- *
- * When this call builds the profile, @p anchors_out (optional)
- * receives its anchors (collectBbvsAnchored()); on a cache hit it is
- * left empty.  Anchors are never cached.
- */
-std::shared_ptr<const PhaseAnalysis>
-phaseAnalysisFor(const std::string &workload, const PhaseParams &params,
-                 u64 budget,
-                 std::vector<Checkpoint> *anchors_out = nullptr);
-
-/** Drop every cached phase analysis and zero the counters (test hook,
- *  companion to clearCheckpointCache()). */
-void clearPhaseCache();
-
-/** Process-lifetime accounting for the shared phase-analysis cache. */
-struct PhaseCacheCounters
-{
-    u64 hits = 0;
-    u64 builds = 0;
-};
-
-PhaseCacheCounters phaseCacheCounters();
 
 } // namespace dmt
 

@@ -141,9 +141,16 @@ runWorkload(const SimConfig &cfg, const std::string &workload,
 {
     // The harness boundary: run-control knobs and sampled mode
     // (DMT_SAMPLE) reroute the whole funnel, so benches and sweeps get
-    // them without knowing about it.
+    // them without knowing about it.  The default budget is resolved
+    // here too, so nothing below reads DMT_BENCH_INSTR.
+    const SampleParams sample = SampleParams::fromEnv();
+    if (max_retired == 0) {
+        max_retired = sample.enabled()
+            ? parseEnvU64("DMT_BENCH_INSTR", 0) // 0 = whole program
+            : benchRunLength();
+    }
     return runWorkloadJob(withEnvKnobs(cfg), workload, max_retired,
-                          SampleParams::fromEnv());
+                          sample);
 }
 
 RunResult
@@ -151,16 +158,15 @@ runWorkloadJob(const SimConfig &cfg, const std::string &raw_workload,
                u64 max_retired, const SampleParams &sample)
 {
     // One workload, one name: gen: specs normalize to their canonical
-    // spelling here so RunResult bytes, checkpoint-cache chains and
-    // golden files never depend on which alias the caller used.
+    // spelling here so RunResult bytes and golden files never depend
+    // on which alias the caller used.
     const std::string workload = canonicalWorkloadName(raw_workload);
 
     if (sample.enabled())
         return runWorkloadSampled(cfg, workload, sample, max_retired);
 
     SimConfig run_cfg = cfg;
-    run_cfg.max_retired =
-        max_retired > 0 ? max_retired : benchRunLength();
+    run_cfg.max_retired = max_retired; // 0 = whole program
 
     const Program prog = buildWorkload(workload);
     DmtEngine engine(run_cfg, prog);

@@ -69,18 +69,19 @@ struct SampleSummary
     u64 covered = 0;
     /** Instructions covered by functional fast-forward alone. */
     u64 functional_instr = 0;
-    /** Host seconds this run spent advancing the functional cursor
-     *  (excluded from the canonical JSON, like all host timing). */
+    /** Host seconds this run spent looking up its sample plan, which
+     *  covers the whole build when the run built it (excluded from the
+     *  canonical JSON, like all host timing). */
     double func_wall_s = 0.0;
-    /** Fast-forward translation-cache counters accumulated over this
-     *  run's fast-forwards.  Host-side diagnostics: excluded from the
+    /** Translation-cache counters of the plan's forward walk, when
+     *  this run built the plan.  Host-side diagnostics: excluded from the
      *  canonical JSON, which depends only on the architectural stream
      *  and not on translation-cache state. */
     u64 ff_blocks_translated = 0;
     u64 ff_chain_hits = 0;
-    /** Instructions the checkpoint chain executed in this run (the
-     *  profile pass excluded; 0 when every checkpoint was cached) and
-     *  the anchor checkpoints the profile pass left it.  Host-side
+    /** Instructions the plan's forward walk executed (the profile
+     *  pass excluded) and the anchor checkpoints the profile left it,
+     *  when this run built the plan; 0 when it was cached.  Host-side
      *  work, excluded from the canonical JSON like the counters
      *  above. */
     u64 ff_instr = 0;
@@ -142,7 +143,9 @@ SimConfig withEnvKnobs(SimConfig cfg);
 
 /**
  * Simulate @p workload (a suite name from workloadSuite()) on @p cfg,
- * retiring at most @p max_retired instructions (0 = benchRunLength()).
+ * retiring at most @p max_retired instructions (0 = benchRunLength();
+ * for a sampled run, 0 profiles DMT_BENCH_INSTR instructions if set,
+ * else the whole program).
  * Golden checking stays enabled: a bench producing wrong execution
  * aborts rather than reporting garbage.
  *
@@ -160,10 +163,10 @@ RunResult runWorkload(const SimConfig &cfg, const std::string &workload,
 struct SampleParams;
 
 /**
- * runWorkload() with the config used as given and the sampling
- * decision passed explicitly instead of read from DMT_SAMPLE, for
- * callers that must not depend on the environment.  runWorkload()
- * itself delegates here.
+ * runWorkload() with the config used as given, the sampling decision
+ * passed explicitly instead of read from DMT_SAMPLE and @p max_retired
+ * = 0 meaning the whole program, for callers that must not depend on
+ * the environment.  runWorkload() itself delegates here.
  */
 RunResult runWorkloadJob(const SimConfig &cfg,
                          const std::string &workload, u64 max_retired,

@@ -15,9 +15,8 @@
 #include "common/log.hh"
 #include "common/strutil.hh"
 #include "dmt/engine.hh"
-#include "sim/checkpoint.hh"
-#include "sim/translated_core.hh"
 #include "sim/functional_core.hh"
+#include "workloads/generator.hh"
 #include "workloads/workloads.hh"
 
 namespace dmt
@@ -112,155 +111,116 @@ SampleParams::fromEnv()
 namespace
 {
 
-/**
- * Per-workload checkpoint chain.  One functional cursor advances
- * through the program; every sampled position it reaches is captured
- * as a Checkpoint and kept (shared_ptr, immutable) so concurrent sweep
- * cells and later invocations reuse it.  Heap-allocated so the Program
- * the cursor references has a stable address.
- */
-struct WorkloadCkpts
+/** One cache key's plan, built at most once under its own lock. */
+struct PlanSlot
 {
     std::mutex m;
-    Program prog;
-    u64 prog_hash = 0;
-    std::unique_ptr<FunctionalCore> cursor;
-    std::map<u64, std::shared_ptr<const Checkpoint>> by_pos;
-    /** Retired position of HALT once the cursor has seen it. */
-    u64 halt_pos = ~u64{0};
+    std::shared_ptr<const SamplePlan> plan;
 };
 
-std::mutex g_cache_m;
-std::map<std::string, std::unique_ptr<WorkloadCkpts>> g_cache;
+std::mutex g_plans_m; // guards g_plans only, never held for a build
+std::map<std::string, std::shared_ptr<PlanSlot>> g_plans;
 
-// Shared-cache accounting (monotonic until clearCheckpointCache()).
+// Cache accounting (monotonic until clearCheckpointCache()).
+std::atomic<u64> g_plan_hits{0};
+std::atomic<u64> g_plan_builds{0};
 std::atomic<u64> g_ckpt_mem_hits{0};
 std::atomic<u64> g_ckpt_builds{0};
 
-WorkloadCkpts &
-entryFor(const std::string &workload)
+std::shared_ptr<const SamplePlan>
+buildPlan(const std::string &workload, const PhaseParams &params,
+          u64 budget)
 {
-    std::lock_guard<std::mutex> lock(g_cache_m);
-    std::unique_ptr<WorkloadCkpts> &slot = g_cache[workload];
-    if (!slot) {
-        slot = std::make_unique<WorkloadCkpts>();
-        slot->prog = buildWorkload(workload);
-        slot->prog_hash = Checkpoint::programHash(slot->prog);
-        slot->cursor = std::make_unique<FunctionalCore>(slot->prog);
-    }
-    return *slot;
-}
+    auto plan = std::make_shared<SamplePlan>();
+    plan->prog = buildWorkload(workload);
+    std::vector<Checkpoint> anchors;
+    u64 covered = 0;
+    bool completed = false;
+    const std::vector<IntervalBbv> bbvs =
+        collectBbvsAnchored(plan->prog, params.interval, budget,
+                            &anchors, &covered, &completed);
+    plan->pa = clusterPhases(bbvs, params);
+    plan->pa.covered = covered;
+    plan->pa.completed = completed;
+    plan->ff_anchors = anchors.size();
 
-/** Host work of one run's checkpoint chain (timing-only telemetry). */
-struct ChainWork
-{
-    double wall_s = 0.0; ///< restoring and fast-forwarding
-    u64 instr = 0;       ///< instructions the cursor executed
-    TranslationStats xlat;
-};
-
-/**
- * Architectural checkpoint at exactly @p pos retired instructions;
- * the caller holds e.m.  A cached checkpoint is reused; otherwise the
- * functional cursor advances from the latest known state at or before
- * @p pos — the cursor itself, a cached checkpoint or one of @p anchors
- * (ascending position), whichever is furthest along, else the program
- * entry.
- *
- * @return nullptr when the program HALTs at or before @p pos.
- *         @p work accumulates the cursor's host time, instructions and
- *         translation-cache activity.
- */
-std::shared_ptr<const Checkpoint>
-checkpointAt(WorkloadCkpts &e, u64 pos,
-             const std::vector<Checkpoint> &anchors, ChainWork *work)
-{
-    if (pos >= e.halt_pos)
-        return nullptr;
-    auto it = e.by_pos.find(pos);
-    if (it != e.by_pos.end()) {
-        g_ckpt_mem_hits.fetch_add(1, std::memory_order_relaxed);
-        return it->second;
-    }
-
-    FunctionalCore &core = *e.cursor;
-    u64 at = core.instrCount() <= pos ? core.instrCount() : 0;
-    const Checkpoint *from = nullptr;
-    auto consider = [&](const Checkpoint &ck) {
-        if (ck.instr_count > at) { // ties keep the cursor
-            at = ck.instr_count;
-            from = &ck;
+    // Phase ids ascend with their representatives, so one core walks
+    // forward through all of them.
+    FunctionalCore core(plan->prog);
+    for (const PhaseInfo &ph : plan->pa.phases) {
+        const u64 pos = ph.rep * params.interval;
+        const auto next = std::partition_point(
+            anchors.begin(), anchors.end(),
+            [&](const Checkpoint &a) { return a.instr_count <= pos; });
+        if (next != anchors.begin()
+            && std::prev(next)->instr_count > core.instrCount()) {
+            const Checkpoint &a = *std::prev(next);
+            core.restore(a.state, a.mem, a.instr_count);
         }
-    };
-    auto cached = e.by_pos.upper_bound(pos);
-    if (cached != e.by_pos.begin())
-        consider(*std::prev(cached)->second);
-    auto anchor = std::partition_point(
-        anchors.begin(), anchors.end(),
-        [&](const Checkpoint &a) { return a.instr_count <= pos; });
-    if (anchor != anchors.begin())
-        consider(*std::prev(anchor));
-
-    const TranslationStats xs_before = core.translationStats();
-    const auto t0 = std::chrono::steady_clock::now();
-    if (from) {
-        DMT_ASSERT(from->prog_hash == e.prog_hash,
-                   "checkpoint taken against another program");
-        core.restore(from->state, from->mem, from->instr_count);
-    } else if (core.instrCount() > pos) {
-        core.reset();
+        const u64 resumed_at = core.instrCount();
+        while (core.instrCount() < pos && !core.halted())
+            core.run(pos - core.instrCount());
+        plan->ff_instr += core.instrCount() - resumed_at;
+        if (core.halted()) {
+            plan->ckpts.emplace_back();
+            continue;
+        }
+        plan->ckpts.push_back(
+            std::make_shared<const Checkpoint>(Checkpoint::capture(core)));
+        g_ckpt_builds.fetch_add(1, std::memory_order_relaxed);
     }
-    const u64 resumed_at = core.instrCount();
-    while (core.instrCount() < pos && !core.halted())
-        core.run(pos - core.instrCount());
-    work->wall_s += std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-    work->instr += core.instrCount() - resumed_at;
-    work->xlat += core.translationStats() - xs_before;
-    if (core.halted()) {
-        e.halt_pos = core.instrCount();
-        return nullptr;
-    }
-
-    auto ck = std::make_shared<Checkpoint>(Checkpoint::capture(core));
-    e.by_pos[pos] = ck;
-    g_ckpt_builds.fetch_add(1, std::memory_order_relaxed);
-    return ck;
-}
-
-/** Copy a run's chain telemetry into its sampling summary. */
-void
-recordChainWork(const ChainWork &work, SampleSummary *s)
-{
-    s->func_wall_s = work.wall_s;
-    s->ff_instr = work.instr;
-    s->ff_blocks_translated = work.xlat.blocks_translated;
-    s->ff_chain_hits = work.xlat.chain_hits;
+    plan->ff_xlat = core.translationStats();
+    return plan;
 }
 
 } // namespace
 
+std::shared_ptr<const SamplePlan>
+samplePlanFor(const std::string &workload, const PhaseParams &params,
+              u64 budget, bool *built_out)
+{
+    const std::string key = strprintf(
+        "%s|%llu|%llu|%llu|%llu|%llu",
+        canonicalWorkloadName(workload).c_str(),
+        static_cast<unsigned long long>(params.interval),
+        static_cast<unsigned long long>(params.max_k),
+        static_cast<unsigned long long>(params.dims),
+        static_cast<unsigned long long>(params.seed),
+        static_cast<unsigned long long>(budget));
+    std::shared_ptr<PlanSlot> slot;
+    {
+        std::lock_guard<std::mutex> lock(g_plans_m);
+        std::shared_ptr<PlanSlot> &s = g_plans[key];
+        if (!s)
+            s = std::make_shared<PlanSlot>();
+        slot = s;
+    }
+    std::lock_guard<std::mutex> lock(slot->m);
+    const bool built = !slot->plan;
+    if (built) {
+        slot->plan = buildPlan(workload, params, budget);
+        g_plan_builds.fetch_add(1, std::memory_order_relaxed);
+    } else {
+        g_plan_hits.fetch_add(1, std::memory_order_relaxed);
+        u64 served = 0;
+        for (const auto &ck : slot->plan->ckpts)
+            served += ck ? 1 : 0;
+        g_ckpt_mem_hits.fetch_add(served, std::memory_order_relaxed);
+    }
+    if (built_out)
+        *built_out = built;
+    return slot->plan;
+}
+
 void
 clearCheckpointCache()
 {
-    std::lock_guard<std::mutex> lock(g_cache_m);
-    g_cache.clear();
+    std::lock_guard<std::mutex> lock(g_plans_m);
+    g_plans.clear();
+    g_plan_hits.store(0, std::memory_order_relaxed);
+    g_plan_builds.store(0, std::memory_order_relaxed);
     g_ckpt_mem_hits.store(0, std::memory_order_relaxed);
     g_ckpt_builds.store(0, std::memory_order_relaxed);
-}
-
-std::shared_ptr<const Checkpoint>
-cachedCheckpoint(const std::string &workload, u64 pos)
-{
-    std::lock_guard<std::mutex> lock(g_cache_m);
-    const auto slot = g_cache.find(workload);
-    if (slot == g_cache.end())
-        return nullptr;
-    WorkloadCkpts &e = *slot->second;
-    std::lock_guard<std::mutex> entry_lock(e.m);
-    const auto it = e.by_pos.find(pos);
-    return it == e.by_pos.end() ? nullptr : it->second;
 }
 
 CheckpointCacheCounters
@@ -272,19 +232,22 @@ checkpointCacheCounters()
     return c;
 }
 
+PhaseCacheCounters
+phaseCacheCounters()
+{
+    PhaseCacheCounters c;
+    c.hits = g_plan_hits.load(std::memory_order_relaxed);
+    c.builds = g_plan_builds.load(std::memory_order_relaxed);
+    return c;
+}
+
 RunResult
 runWorkloadSampled(const SimConfig &cfg, const std::string &workload,
                    const SampleParams &params, u64 budget)
 {
     DMT_ASSERT(params.enabled(),
                "runWorkloadSampled needs a measure window");
-    if (budget == 0)
-        budget = parseEnvU64("DMT_BENCH_INSTR", 0); // 0 = whole program
-
-    WorkloadCkpts &e = entryFor(workload);
-
     const auto wall_start = std::chrono::steady_clock::now();
-    ChainWork chain;
 
     RunResult r;
     r.workload = workload;
@@ -296,39 +259,32 @@ runWorkloadSampled(const SimConfig &cfg, const std::string &workload,
     r.sampling.phase_dims = params.phase.dims;
     r.sampling.phase_seed = params.phase.seed;
 
-    // The profile pass is cached process-wide (like the checkpoint
-    // chain); its wall clock lands in the fast-forward bucket.  A
-    // profile built here also leaves anchors, so every
-    // representative's checkpoint is built in one locked batch from
-    // the nearest earlier anchor, and the anchors are freed before
-    // the windows run.
-    std::shared_ptr<const PhaseAnalysis> pa;
-    std::vector<std::shared_ptr<const Checkpoint>> ckpts;
-    {
-        const auto prof_start = std::chrono::steady_clock::now();
-        std::vector<Checkpoint> anchors;
-        pa = phaseAnalysisFor(workload, params.phase, budget, &anchors);
-        chain.wall_s += std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - prof_start)
-                            .count();
-        r.sampling.ff_anchors = anchors.size();
-
-        std::lock_guard<std::mutex> lock(e.m);
-        for (const PhaseInfo &ph : pa->phases) {
-            ckpts.push_back(checkpointAt(
-                e, ph.rep * params.phase.interval, anchors, &chain));
-        }
+    // The plan lookup's wall clock (the whole build, when this run
+    // builds it) lands in the fast-forward bucket.
+    bool built = false;
+    const std::shared_ptr<const SamplePlan> plan =
+        samplePlanFor(workload, params.phase, budget, &built);
+    r.sampling.func_wall_s = std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now()
+                                 - wall_start)
+                                 .count();
+    if (built) {
+        r.sampling.ff_instr = plan->ff_instr;
+        r.sampling.ff_anchors = plan->ff_anchors;
+        r.sampling.ff_blocks_translated = plan->ff_xlat.blocks_translated;
+        r.sampling.ff_chain_hits = plan->ff_xlat.chain_hits;
     }
 
-    r.sampling.phase_k = pa->k;
-    r.sampling.phase_intervals = pa->assignment.size();
-    bool completed = pa->completed;
+    const PhaseAnalysis &pa = plan->pa;
+    r.sampling.phase_k = pa.k;
+    r.sampling.phase_intervals = pa.assignment.size();
+    bool completed = pa.completed;
     u64 detailed_retired = 0;
 
-    for (size_t i = 0; i < pa->phases.size(); ++i) {
-        const PhaseInfo &ph = pa->phases[i];
+    for (size_t i = 0; i < pa.phases.size(); ++i) {
+        const PhaseInfo &ph = pa.phases[i];
         const u64 start = ph.rep * params.phase.interval;
-        const std::shared_ptr<const Checkpoint> &ck = ckpts[i];
+        const std::shared_ptr<const Checkpoint> &ck = plan->ckpts[i];
 
         PhaseCpi row;
         row.id = ph.id;
@@ -338,7 +294,7 @@ runWorkloadSampled(const SimConfig &cfg, const std::string &workload,
         row.members = ph.members;
 
         // A representative can sit past HALT only if profiling and the
-        // checkpoint cursor disagree — which the bit-identity contract
+        // plan's forward walk disagree — which the bit-identity contract
         // rules out — but stay graceful: the phase goes unmeasured and
         // the aggregate renormalizes over the measured ones.
         if (ck) {
@@ -346,7 +302,7 @@ runWorkloadSampled(const SimConfig &cfg, const std::string &workload,
             wcfg.warmup_retired = params.warm;
             wcfg.max_retired = params.warm + params.measure;
 
-            DmtEngine engine(wcfg, e.prog, ck.get());
+            DmtEngine engine(wcfg, plan->prog, ck.get());
             engine.run();
             if (!engine.goldenOk()) {
                 panic("golden mismatch on %s (phase window at %llu): %s",
@@ -420,13 +376,12 @@ runWorkloadSampled(const SimConfig &cfg, const std::string &workload,
         }
     }
 
-    r.sampling.covered = pa->covered;
+    r.sampling.covered = pa.covered;
     // Stream-derived (not host-work-derived) so the canonical JSON is
     // identical whether checkpoints came from cache or fresh runs.
-    r.sampling.functional_instr = pa->covered > detailed_retired
-        ? pa->covered - detailed_retired
+    r.sampling.functional_instr = pa.covered > detailed_retired
+        ? pa.covered - detailed_retired
         : 0;
-    recordChainWork(chain, &r.sampling);
     r.completed = completed;
     // The headline IPC is the weighted estimate — the whole point of
     // phase weighting — not the unweighted window sum.
@@ -435,7 +390,7 @@ runWorkloadSampled(const SimConfig &cfg, const std::string &workload,
                    std::chrono::steady_clock::now() - wall_start)
                    .count();
     r.minstr_per_s = r.wall_s > 0.0
-        ? static_cast<double>(pa->covered) / r.wall_s / 1e6
+        ? static_cast<double>(pa.covered) / r.wall_s / 1e6
         : 0.0;
     return r;
 }

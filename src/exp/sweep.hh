@@ -27,7 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.hh"
+#include "common/types.hh"
 #include "exp/runner.hh"
 #include "uarch/config.hh"
 
@@ -42,7 +42,7 @@ struct SweepJob
     std::string label;    ///< diagnostics/progress, e.g. "go/6T"
     std::string workload; ///< suite name for runWorkload()
     SimConfig cfg;
-    u64 max_retired = 0;  ///< 0 = benchRunLength()
+    u64 max_retired = 0;  ///< 0 = runWorkload()'s default
 };
 
 /** Outcome of one job; failed cells carry the SimError message. */
@@ -79,16 +79,6 @@ struct SweepStats
     {
         return wall_seconds > 0.0 ? busy_seconds / wall_seconds : 0.0;
     }
-
-    /** Register the aggregate numbers on a StatGroup for text dumps.
-     *  The Counter/Average shadows live in @p store (must outlive the
-     *  group). */
-    struct StatStore
-    {
-        Counter jobs, failed, retired;
-        Average wall, busy, mips;
-    };
-    void registerAll(StatGroup &group, StatStore &store) const;
 
     void jsonOn(JsonWriter &w) const;
 };

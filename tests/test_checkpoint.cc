@@ -29,13 +29,6 @@ namespace dmt
 namespace
 {
 
-/** A budget-0 sampled run below reads DMT_BENCH_INSTR; it must not
- *  leak in from the caller's environment. */
-const struct EnvSanitizer
-{
-    EnvSanitizer() { unsetenv("DMT_BENCH_INSTR"); }
-} env_sanitizer;
-
 TEST(MainMemoryCkpt, SparsePageExactEquality)
 {
     MainMemory a;

@@ -10,8 +10,7 @@
  * reruns and across spec spellings, and generated programs must
  * survive the ISA encode/decode round trip.
  *
- * Scenario count: all families x DMT_CONF_SEEDS seeds (default 15,
- * i.e. 105 scenarios; CI smoke uses 2).
+ * Scenario count: all families x 15 seeds, i.e. 105 scenarios.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "common/env.hh"
 #include "common/rng.hh"
 #include "exp/conformance.hh"
 #include "exp/report.hh"
@@ -34,16 +32,8 @@ namespace dmt
 namespace
 {
 
-/** Seeds per family (strict parse: garbage in the env is fatal). */
-int
-seedsPerFamily()
-{
-    static const int n = [] {
-        const u64 v = parseEnvU64("DMT_CONF_SEEDS", 0);
-        return v > 0 ? static_cast<int>(v) : 15;
-    }();
-    return n;
-}
+/** Seeds per family. */
+constexpr int kSeedsPerFamily = 15;
 
 /**
  * Scenario knobs, derived deterministically from (family, seed) so the
@@ -78,9 +68,9 @@ class GenConformance : public ::testing::TestWithParam<int>
 
 TEST_P(GenConformance, FunctionalAndDetailedAgreeExactly)
 {
-    const int family_idx = GetParam() / seedsPerFamily();
+    const int family_idx = GetParam() / kSeedsPerFamily;
     const u64 seed =
-        static_cast<u64>(GetParam() % seedsPerFamily()) + 1;
+        static_cast<u64>(GetParam() % kSeedsPerFamily) + 1;
     const GenParams p = scenarioParams(family_idx, seed);
     const std::string spec = p.canonicalSpec();
 
@@ -95,10 +85,10 @@ TEST_P(GenConformance, FunctionalAndDetailedAgreeExactly)
 INSTANTIATE_TEST_SUITE_P(
     Families, GenConformance,
     ::testing::Range(0, static_cast<int>(genFamilies().size())
-                            * seedsPerFamily()),
+                            * kSeedsPerFamily),
     [](const ::testing::TestParamInfo<int> &param_info) {
-        const int fam = param_info.param / seedsPerFamily();
-        const int seed = param_info.param % seedsPerFamily() + 1;
+        const int fam = param_info.param / kSeedsPerFamily;
+        const int seed = param_info.param % kSeedsPerFamily + 1;
         return std::string(
                    genFamilies()[static_cast<size_t>(fam)].name)
             + "_s" + std::to_string(seed);

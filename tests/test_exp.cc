@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,8 @@
 #include "exp/report.hh"
 #include "exp/runner.hh"
 #include "exp/sampled.hh"
+#include "sim/functional.hh"
+#include "workloads/workloads.hh"
 
 namespace dmt
 {
@@ -171,6 +174,36 @@ TEST(Runner, DefaultLengthOverridableByEnv)
 {
     // No env in tests: default applies.
     EXPECT_GT(benchRunLength(), 0u);
+}
+
+TEST(Runner, JobBudgetZeroIsTheWholeProgramWhateverTheEnv)
+{
+    // DMT_BENCH_INSTR is resolved in runWorkload(); below it a 0
+    // budget runs (or profiles) the whole program.
+    const Program prog = buildWorkload("compress");
+    ArchState st;
+    MainMemory mem;
+    st.reset(prog);
+    mem.loadProgram(prog);
+    const u64 length = runFunctional(st, mem, prog);
+    SampleParams phase;
+    std::string err;
+    ASSERT_TRUE(SampleParams::parse("phase:20000:500:1500", &phase, &err))
+        << err;
+
+    setenv("DMT_BENCH_INSTR", "1000", 1);
+    const RunResult full =
+        runWorkloadJob(exp::baseline(), "compress", 0, SampleParams{});
+    clearCheckpointCache();
+    const RunResult sampled =
+        runWorkloadJob(exp::baseline(), "compress", 0, phase);
+    clearCheckpointCache();
+    unsetenv("DMT_BENCH_INSTR");
+
+    EXPECT_TRUE(full.completed);
+    EXPECT_EQ(full.retired, length);
+    EXPECT_TRUE(sampled.completed);
+    EXPECT_EQ(sampled.sampling.covered, length);
 }
 
 TEST(Report, RendersTable)

@@ -22,6 +22,8 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "casm/assembler.hh"
 #include "common/log.hh"
@@ -40,9 +42,8 @@ namespace
 {
 
 /** Knobs that would perturb the deterministic runs below (read by
- *  runWorkload() at the harness boundary, and DMT_BENCH_INSTR by
- *  budget-0 sampled runs) must not leak in from the caller's
- *  environment. */
+ *  runWorkload() at the harness boundary) must not leak in from the
+ *  caller's environment. */
 const struct EnvSanitizer
 {
     EnvSanitizer()
@@ -62,13 +63,6 @@ phaseParams(const std::string &spec)
     std::string err;
     EXPECT_TRUE(SampleParams::parse(spec, &p, &err)) << err;
     return p;
-}
-
-void
-clearAllCaches()
-{
-    clearCheckpointCache();
-    clearPhaseCache();
 }
 
 // ---- BbvCollector unit contract ----------------------------------------
@@ -430,23 +424,31 @@ TEST(PhaseCluster, DegenerateInputsStayWellDefined)
 
 TEST(PhaseCluster, AnalysisCacheSharesOneBuild)
 {
-    clearAllCaches();
+    clearCheckpointCache();
     const PhaseParams p = params(20000);
-    const auto a = phaseAnalysisFor("go", p, 400000);
-    const auto b = phaseAnalysisFor("go", p, 400000);
+    bool built_a = false, built_b = true;
+    const auto a = samplePlanFor("go", p, 400000, &built_a);
+    const auto b = samplePlanFor("go", p, 400000, &built_b);
     EXPECT_EQ(a.get(), b.get()) << "second lookup must share the build";
+    EXPECT_TRUE(built_a);
+    EXPECT_FALSE(built_b);
     const PhaseCacheCounters c = phaseCacheCounters();
     EXPECT_EQ(c.builds, 1u);
     EXPECT_EQ(c.hits, 1u);
+    EXPECT_EQ(a->ckpts.size(), a->pa.phases.size());
+    EXPECT_EQ(checkpointCacheCounters().builds, a->ckpts.size());
+    EXPECT_EQ(checkpointCacheCounters().mem_hits, a->ckpts.size());
 
     // A different parameter set is a different cache cell.
-    const auto other = phaseAnalysisFor("go", params(20000, 4), 400000);
+    const auto other = samplePlanFor("go", params(20000, 4), 400000);
     EXPECT_NE(other.get(), a.get());
     EXPECT_EQ(phaseCacheCounters().builds, 2u);
 
-    clearAllCaches();
+    clearCheckpointCache();
     const PhaseCacheCounters z = phaseCacheCounters();
     EXPECT_EQ(z.builds + z.hits, 0u);
+    const CheckpointCacheCounters zc = checkpointCacheCounters();
+    EXPECT_EQ(zc.builds + zc.mem_hits, 0u);
 }
 
 // ---- the phase-sampled pipeline ----------------------------------------
@@ -457,7 +459,7 @@ TEST(PhaseSampled, DeterministicAcrossCacheStatesAndEngines)
     const SimConfig cfg = SimConfig::dmt(6, 2);
     constexpr u64 kBudget = 400000;
 
-    clearAllCaches();
+    clearCheckpointCache();
     const RunResult cold = runWorkloadSampled(cfg, "go", p, kBudget);
     const RunResult warm = runWorkloadSampled(cfg, "go", p, kBudget);
     EXPECT_EQ(cold.jsonString(), warm.jsonString())
@@ -468,7 +470,7 @@ TEST(PhaseSampled, DeterministicAcrossCacheStatesAndEngines)
     EXPECT_EQ(cold.sampling.phase_intervals, 20u);
     EXPECT_GT(cold.sampling.covered, 0u);
     EXPECT_LT(cold.sampling.functional_instr, cold.sampling.covered);
-    clearAllCaches();
+    clearCheckpointCache();
 }
 
 TEST(PhaseSampled, AnchoredChainMatchesTheCursorAndCaches)
@@ -476,34 +478,74 @@ TEST(PhaseSampled, AnchoredChainMatchesTheCursorAndCaches)
     const SampleParams p = phaseParams("phase:20000:500:1500");
     const SimConfig cfg = SimConfig::dmt(6, 2);
 
-    clearAllCaches();
+    clearCheckpointCache();
     const RunResult cold = runWorkloadSampled(cfg, kLongSpec, p);
     ASSERT_TRUE(cold.completed);
     ASSERT_GE(cold.sampling.phases.size(), 2u);
     EXPECT_EQ(cold.sampling.ff_anchors, 5u);
 
     // Each representative's checkpoint is the state a cursor reaches
-    // from the entry, though the chain started from anchors.
+    // from the entry, though the plan's walk started from anchors.
+    bool built = true;
+    const std::shared_ptr<const SamplePlan> plan =
+        samplePlanFor(kLongSpec, p.phase, 0, &built);
+    EXPECT_FALSE(built) << "the run must have cached its plan";
+    ASSERT_EQ(plan->ckpts.size(), cold.sampling.phases.size());
     const Program prog = buildWorkload(kLongSpec);
     FunctionalCore cursor(prog);
     u64 last = 0;
-    for (const PhaseCpi &ph : cold.sampling.phases) {
-        const std::shared_ptr<const Checkpoint> ck =
-            cachedCheckpoint(kLongSpec, ph.pos);
-        ASSERT_TRUE(ck) << "no checkpoint at " << ph.pos;
-        advanceTo(cursor, ph.pos);
-        expectSameState(*ck, cursor);
-        last = std::max(last, ph.pos);
+    for (size_t i = 0; i < plan->ckpts.size(); ++i) {
+        const u64 pos = cold.sampling.phases[i].pos;
+        ASSERT_TRUE(plan->ckpts[i]) << "no checkpoint at " << pos;
+        advanceTo(cursor, pos);
+        expectSameState(*plan->ckpts[i], cursor);
+        last = std::max(last, pos);
     }
     EXPECT_LT(cold.sampling.ff_instr, last)
-        << "the chain must not re-run the prefix from the entry";
+        << "the walk must not re-run the prefix from the entry";
 
     const RunResult warm = runWorkloadSampled(cfg, kLongSpec, p);
     EXPECT_EQ(cold.jsonString(), warm.jsonString())
-        << "warm phase/checkpoint caches must not change a byte";
+        << "a cached plan must not change a byte";
     EXPECT_EQ(warm.sampling.ff_instr, 0u);
     EXPECT_EQ(warm.sampling.ff_anchors, 0u);
-    clearAllCaches();
+    clearCheckpointCache();
+}
+
+TEST(PhaseSampled, ConcurrentColdRunsShareOnePlan)
+{
+    // Four cells racing on a cold cache: one builds the plan (profile,
+    // anchors, every checkpoint), the others wait for it and reuse it.
+    const SampleParams p = phaseParams("phase:20000:500:1500");
+    const SimConfig cfg = SimConfig::dmt(6, 2);
+    constexpr size_t kThreads = 4;
+
+    clearCheckpointCache();
+    std::vector<RunResult> runs(kThreads);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            runs[t] = runWorkloadSampled(cfg, kLongSpec, p);
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+
+    u64 ff_instr = 0, last = 0;
+    for (const RunResult &r : runs) {
+        EXPECT_EQ(r.jsonString(), runs[0].jsonString())
+            << "every cell must see the same plan";
+        ff_instr += r.sampling.ff_instr;
+    }
+    for (const PhaseCpi &ph : runs[0].sampling.phases)
+        last = std::max(last, ph.pos);
+    EXPECT_EQ(phaseCacheCounters().builds, 1u);
+    EXPECT_EQ(phaseCacheCounters().hits, kThreads - 1);
+    EXPECT_EQ(checkpointCacheCounters().builds,
+              runs[0].sampling.phases.size());
+    EXPECT_LT(ff_instr, last)
+        << "no cell may re-run the prefix without anchors";
+    clearCheckpointCache();
 }
 
 TEST(PhaseSampled, CpiBracketsFullDetail)
@@ -516,7 +558,7 @@ TEST(PhaseSampled, CpiBracketsFullDetail)
     const std::string spec = "gen:loopnest:21:trips=200:units=48";
     const SimConfig cfg = SimConfig::dmt(6, 2);
 
-    clearAllCaches();
+    clearCheckpointCache();
     const RunResult full = runWorkload(cfg, spec, 2000000);
     ASSERT_TRUE(full.completed);
     ASSERT_GT(full.retired, 200000u) << "workload too short to sample";
@@ -524,7 +566,7 @@ TEST(PhaseSampled, CpiBracketsFullDetail)
                             static_cast<double>(full.retired);
 
     const SampleParams p = phaseParams("phase:20000:500:2000");
-    clearAllCaches();
+    clearCheckpointCache();
     const RunResult s = runWorkloadSampled(cfg, spec, p);
     ASSERT_TRUE(s.completed);
     ASSERT_GE(s.sampling.phase_k, 1u);
@@ -541,7 +583,7 @@ TEST(PhaseSampled, CpiBracketsFullDetail)
     const u64 detailed = s.sampling.covered - s.sampling.functional_instr;
     EXPECT_LT(detailed * 3, s.sampling.covered)
         << "phase sampling should leave most of the stream functional";
-    clearAllCaches();
+    clearCheckpointCache();
 }
 
 std::string
@@ -565,10 +607,10 @@ TEST(PhaseSampled, GoldenSignature)
     // DMT_UPDATE_GOLDEN=1 after intentional behaviour changes.
     const SampleParams p = phaseParams("phase:20000:500:1500");
 
-    clearAllCaches();
+    clearCheckpointCache();
     const RunResult r =
         runWorkloadSampled(SimConfig::dmt(6, 2), "go", p, 400000);
-    clearAllCaches();
+    clearCheckpointCache();
     const std::string got = r.jsonString() + "\n";
 
     if (updateRequested()) {

@@ -12,7 +12,7 @@
  * cache after reset() and restore().
  *
  * Scenario count mirrors tests/test_conformance.cc: all generator
- * families x DMT_CONF_SEEDS seeds (default 15; CI smoke uses 2).
+ * families x 15 seeds.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "casm/builder.hh"
-#include "common/env.hh"
 #include "common/rng.hh"
 #include "exp/sampled.hh"
 #include "sim/checkpoint.hh"
@@ -37,16 +36,8 @@ namespace dmt
 namespace
 {
 
-/** Seeds per family (same knob as the conformance sweep). */
-int
-seedsPerFamily()
-{
-    static const int n = [] {
-        const u64 v = parseEnvU64("DMT_CONF_SEEDS", 0);
-        return v > 0 ? static_cast<int>(v) : 15;
-    }();
-    return n;
-}
+/** Seeds per family (same count as the conformance sweep). */
+constexpr int kSeedsPerFamily = 15;
 
 /** Scenario knobs, identical derivation to test_conformance.cc so the
  *  two sweeps cover the same program population. */
@@ -108,9 +99,9 @@ class TranslatedConformance : public ::testing::TestWithParam<int>
 // at a time.
 TEST_P(TranslatedConformance, BitIdenticalToInterpreter)
 {
-    const int family_idx = GetParam() / seedsPerFamily();
+    const int family_idx = GetParam() / kSeedsPerFamily;
     const u64 seed =
-        static_cast<u64>(GetParam() % seedsPerFamily()) + 1;
+        static_cast<u64>(GetParam() % kSeedsPerFamily) + 1;
     const GenParams p = scenarioParams(family_idx, seed);
     const std::string spec = p.canonicalSpec();
     const Program prog = buildWorkload(spec);
@@ -153,10 +144,10 @@ TEST_P(TranslatedConformance, BitIdenticalToInterpreter)
 INSTANTIATE_TEST_SUITE_P(
     Families, TranslatedConformance,
     ::testing::Range(0, static_cast<int>(genFamilies().size())
-                            * seedsPerFamily()),
+                            * kSeedsPerFamily),
     [](const ::testing::TestParamInfo<int> &param_info) {
-        const int fam = param_info.param / seedsPerFamily();
-        const int seed = param_info.param % seedsPerFamily() + 1;
+        const int fam = param_info.param / kSeedsPerFamily;
+        const int seed = param_info.param % kSeedsPerFamily + 1;
         return std::string(genFamilies()[static_cast<size_t>(fam)].name)
             + "_s" + std::to_string(seed);
     });
@@ -326,11 +317,9 @@ TEST(Translated, SampledRunsByteIdenticalAcrossEngines)
         << err;
 
     clearCheckpointCache();
-    clearPhaseCache();
     const RunResult r =
         runWorkloadSampled(SimConfig::dmt(6, 2), "go", p, 200000);
     clearCheckpointCache();
-    clearPhaseCache();
 
     EXPECT_GE(r.sampling.intervals, 1u);
     EXPECT_EQ(r.sampling.phase_intervals, 10u);
